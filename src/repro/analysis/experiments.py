@@ -406,9 +406,9 @@ def run_experiment(
     ``workers`` > 1 dispatches the (topology, seed) runs to a
     :mod:`multiprocessing` pool via :mod:`repro.parallel`; results are
     identical to the serial backend (same seeds, same aggregation — only
-    wall-clock readings differ).  ``checkpoint`` names a JSON file to which
-    completed runs are persisted so an interrupted sweep resumes instead of
-    restarting; passing it routes execution through the parallel engine
+    wall-clock readings differ).  ``checkpoint`` names an append-only JSONL
+    file to which completed runs are persisted so an interrupted sweep
+    resumes instead of restarting; passing it routes execution through the parallel engine
     even when ``workers`` is 1.  ``start_method`` picks the multiprocessing
     start method (``"fork"``, ``"spawn"``, ...; platform default if ``None``).
 

@@ -63,7 +63,10 @@ class SweepConfig:
     parameters, test setup) and hand the same value to :func:`sweep` and
     :func:`query` calls instead of threading loose keywords through every
     layer.  The defaults are the engine's: one worker, the ``auto``
-    simulator backend, adaptive dispatch, JSONL checkpoints.
+    simulator backend, adaptive dispatch, no checkpoint.  A checkpoint is
+    always the append-only JSONL store (legacy whole-file JSON
+    checkpoints are imported on resume); a query refuses the
+    checkpoint, shard and lease knobs (see :meth:`query_kwargs`).
     """
 
     #: worker processes (1 = in-process serial execution)
@@ -77,7 +80,6 @@ class SweepConfig:
     #: checkpoint file for resume; required by ``shard``
     checkpoint: Optional[Union[str, Path]] = None
     checkpoint_compact: bool = False
-    checkpoint_format: str = "jsonl"
     checkpoint_flush_interval: Optional[float] = None
     #: ``(i, k)`` fixed slice or ``(AUTO_SHARD, blocks)`` work stealing
     shard: Optional[Tuple[object, int]] = None
@@ -118,28 +120,28 @@ class SweepConfig:
         return {field.name: getattr(self, field.name) for field in fields(self)}
 
     def query_kwargs(self) -> Dict[str, object]:
-        """The subset of knobs a memoized query accepts.
+        """The knobs a memoized query accepts.
 
-        A query stages its own checkpoint and owns its own dispatch, so
-        checkpoint/shard settings on the config are a caller error there
-        — populate the archive with :func:`sweep` runs instead.
+        A query reads from and writes back to its archive, so the knobs
+        :data:`repro.archive.query.RESERVED_KWARGS` names are a caller
+        error when set — populate the archive with :func:`sweep` runs
+        that use them instead.
         """
-        if self.checkpoint is not None or self.shard is not None:
-            raise ConfigurationError(
-                "a query ignores checkpoint=/shard= configuration: it "
-                "stages its own checkpoint internally; run the populate "
-                "sweep with those knobs instead"
-            )
+        from .archive.query import RESERVED_KWARGS
+
         kwargs = self.runner_kwargs()
-        for reserved in (
-            "checkpoint",
-            "checkpoint_compact",
-            "checkpoint_format",
-            "checkpoint_flush_interval",
-            "shard",
-            "lease_timeout",
-        ):
-            kwargs.pop(reserved)
+        reserved = [field for field in fields(self) if field.name in RESERVED_KWARGS]
+        refused = [
+            field.name
+            for field in reserved
+            if kwargs.pop(field.name) != field.default
+        ]
+        if refused:
+            raise ConfigurationError(
+                f"a query does not accept {', '.join(refused)}: it reads "
+                f"the archive and writes new runs back to it; run the "
+                f"populate sweep with those knobs instead"
+            )
         return kwargs
 
 

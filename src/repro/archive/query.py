@@ -8,44 +8,63 @@ the adaptive scheduler, any worker count.  Newly simulated runs are
 written back, so archives only ever grow and the second identical query
 simulates nothing.
 
-The fold is not reimplemented here.  Archive hits are staged into a
-temporary checkpoint and the grid is run *against that checkpoint*: the
-engine's restore path replays the hits and executes the misses through
-the exact same streaming accumulators as any other sweep, which is what
-pins query results bit-identical to a from-scratch ``run_experiments``
-(wall-clock column aside — a hit replays the wall-clock measured when
-the run actually executed).
+The fold is not reimplemented here.  The engine's ``checkpoint``
+argument takes an open store, and the query hands it one holding the
+archive hits: the engine's resume path replays them (in task-key order)
+and executes the misses through the exact same streaming accumulators
+as any other sweep, which is what pins query results bit-identical to a
+from-scratch ``run_experiments`` (wall-clock column aside — a hit
+replays the wall-clock measured when the run actually executed).  The
+store keeps the freshly executed runs for the write-back; nothing is
+staged on disk.
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Set, Tuple, Union
 
 from ..analysis.experiments import ExperimentResult, ExperimentSpec
 from ..analysis.streaming import ResultSink
 from ..core.errors import ConfigurationError
 from ..parallel.runner import run_experiments
 from ..parallel.sharding import expand_run_tasks
-from ..parallel.store import JsonlCheckpointStore
 from .store import ResultArchive
 
-__all__ = ["QueryReport", "QueryResult", "query_experiments"]
+__all__ = ["RESERVED_KWARGS", "QueryReport", "QueryResult", "query_experiments"]
 
-#: ``run_experiments`` knobs a query may not override: the query layer
-#: owns the staging checkpoint, and sharding/retention belong to the
-#: populate sweeps, not the read path.
-_RESERVED_KWARGS = (
+#: ``run_experiments`` knobs a query refuses: it reads from and writes
+#: back to the archive, so checkpointing, sharding, leases and retention
+#: belong to the sweeps that populate it.  The ``repro.api`` facade
+#: derives its own check from this tuple.
+RESERVED_KWARGS = (
     "checkpoint",
     "checkpoint_compact",
-    "checkpoint_format",
     "checkpoint_flush_interval",
     "shard",
+    "lease_timeout",
     "keep_results",
 )
+
+
+@dataclass
+class _ArchiveCheckpoint:
+    """The engine's checkpoint during one query: hits in, fresh runs out."""
+
+    #: archive records the engine replays, in task-key order
+    hits: Mapping[str, Dict[str, object]]
+    #: records of the runs the engine executed, for the write-back
+    fresh: Dict[str, Dict[str, object]] = field(default_factory=dict)
+
+    def load(self) -> Mapping[str, Dict[str, object]]:
+        return self.hits
+
+    def add(self, key: str, record: Dict[str, object]) -> None:
+        self.fresh[key] = record
+
+    def flush(self) -> None:
+        pass
 
 
 @dataclass(frozen=True)
@@ -100,16 +119,16 @@ def query_experiments(
     ``runner_kwargs`` pass through to
     :func:`~repro.parallel.runner.run_experiments` (``workers``,
     ``backend``, ``dispatch``, ``derive_seeds``/``base_seed``, ...) for
-    the runs that do execute; checkpointing and sharding knobs are
-    reserved — the query stages its own checkpoint, and sharded populate
-    belongs to ``sweep``.
+    the runs that do execute; the knobs in :data:`RESERVED_KWARGS` are
+    refused.
     """
-    for reserved in _RESERVED_KWARGS:
+    for reserved in RESERVED_KWARGS:
         if reserved in runner_kwargs:
             raise ConfigurationError(
-                f"query_experiments() does not accept {reserved!r}: the "
-                f"query layer stages its own checkpoint; populate the "
-                f"archive with sweep/archive-add instead"
+                f"query_experiments() does not accept {reserved!r}: a "
+                f"query reads the archive and writes new runs back to it; "
+                f"checkpoint or shard the sweeps that populate the archive "
+                f"(sweep/archive-add) instead"
             )
     derive_seeds = bool(runner_kwargs.get("derive_seeds", False))
     base_seed = runner_kwargs.get("base_seed")
@@ -132,31 +151,11 @@ def query_experiments(
     try:
         hits = store.fetch(sorted(wanted))
         missing = wanted - set(hits)
-        staging_dir = Path(tempfile.mkdtemp(prefix="repro-query-"))
-        try:
-            staging = staging_dir / "query-checkpoint.jsonl"
-            seed_store = JsonlCheckpointStore(staging, flush_interval_seconds=0.0)
-            seed_store.load()
-            for key in sorted(hits):
-                seed_store.add(key, hits[key])
-            seed_store.flush()
-
-            results = run_experiments(
-                specs,
-                checkpoint=staging,
-                sinks=sinks,
-                **runner_kwargs,
-            )
-
-            executed = JsonlCheckpointStore(staging).load()
-            new_records = {
-                key: record
-                for key, record in executed.items()
-                if key in missing
-            }
-        finally:
-            shutil.rmtree(staging_dir, ignore_errors=True)
-        added = store.add_records(new_records)
+        replay = _ArchiveCheckpoint({key: hits[key] for key in sorted(hits)})
+        results = run_experiments(
+            specs, checkpoint=replay, sinks=sinks, **runner_kwargs
+        )
+        added = store.add_records(replay.fresh)
     finally:
         if opened is not None:
             opened.close()

@@ -286,14 +286,12 @@ def _print_telemetry_summary(summary: Dict[str, object], *, title: str) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import os
-
     from .analysis import summarize_results
     from .analysis.streaming import JsonlSink, ProgressSink
     from .api import SweepConfig, sweep as run_sweep
     from .election.base import SafetyTally
     from .obs import TelemetrySink
-    from .parallel import AUTO_SHARD, parse_shard
+    from .parallel import AUTO_SHARD, parse_shard, writer_id
     from .workloads import DYNAMIC_SCENARIOS, suite_by_name
 
     if args.workers < 1:
@@ -326,12 +324,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         shard_label = f"shard {shard[0]}/{shard[1]}"
     else:
         shard_label = ""
+    job = writer_id()
 
     def slice_path(base: str, default_suffix: str):
         # Same naming as the per-shard checkpoints: k jobs sharing one
         # --jsonl/--telemetry spelling must not publish over each other's
         # slices.  An auto job owns no fixed index, so its per-job files
-        # are keyed by pid instead.
+        # are keyed by its writer id instead.
         from pathlib import Path
 
         from .parallel import shard_checkpoint_path
@@ -339,9 +338,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if shard[0] == AUTO_SHARD:
             base_path = Path(base)
             suffix = base_path.suffix or default_suffix
-            return base_path.with_name(
-                f"{base_path.stem}.auto-{os.getpid()}{suffix}"
-            )
+            return base_path.with_name(f"{base_path.stem}.auto-{job}{suffix}")
         return shard_checkpoint_path(
             base, shard[0], shard[1], default_suffix=default_suffix
         )
@@ -386,7 +383,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         checkpoint=args.checkpoint,
         checkpoint_compact=args.checkpoint_compact,
-        checkpoint_format=args.checkpoint_format,
         start_method=args.start_method,
         derive_seeds=args.derive_seeds,
         base_seed=args.base_seed,
@@ -828,9 +824,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--checkpoint",
         default=None,
-        help="file recording completed runs (append-only JSONL by "
-        "default, see --checkpoint-format); an interrupted sweep rerun "
-        "with the same checkpoint resumes instead of restarting",
+        help="file recording completed runs (append-only JSONL; a legacy "
+        "whole-file JSON checkpoint is imported and migrated); an "
+        "interrupted sweep rerun with the same checkpoint resumes instead "
+        "of restarting",
     )
     sweep.add_argument(
         "--checkpoint-compact",
@@ -849,8 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
         "on work stealing instead: any number of concurrent jobs claim "
         "task blocks from a shared lease directory next to the "
         "checkpoint, stale blocks are stolen, and the same manifest/"
-        "merge flow folds the results (requires the jsonl checkpoint "
-        "format)",
+        "merge flow folds the results",
     )
     sweep.add_argument(
         "--dispatch",
@@ -878,15 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="with --shard auto: steal a claimed block whose owner has "
         "not heartbeat for this many seconds (default 300)",
-    )
-    sweep.add_argument(
-        "--checkpoint-format",
-        default="jsonl",
-        choices=["jsonl", "json"],
-        help="checkpoint on-disk format: jsonl appends one record per "
-        "completed run (O(new records) per flush, periodic compaction); "
-        "json rewrites the whole file every flush (legacy baseline). "
-        "Either format reads checkpoints written by the other",
     )
     sweep.add_argument(
         "--adversary",

@@ -18,15 +18,15 @@ contract:
   per-cell aggregates (:mod:`repro.analysis.streaming`), reassembling
   cells byte-identically to the serial backend (wall-clock readings
   aside) without ever retaining the full run list;
-* :mod:`~repro.parallel.checkpoint` persists completed runs so
-  interrupted sweeps resume instead of restarting, and — for
-  multi-machine sweeps — splits one grid across per-shard checkpoint
+* :mod:`~repro.parallel.store` persists completed runs so interrupted
+  sweeps resume instead of restarting: an append-only JSONL checkpoint
+  store (O(new records) per flush) that also imports legacy whole-file
+  JSON checkpoints;
+* :mod:`~repro.parallel.checkpoint` holds the run-record codec and, for
+  multi-machine sweeps, splits one grid across per-shard checkpoint
   files plus a deterministic shard manifest (``--shard i/k`` or the
   work-stealing ``--shard auto``), merged back together by
-  :func:`~repro.parallel.checkpoint.merge_shard_checkpoints`;
-* :mod:`~repro.parallel.store` is the default on-disk format: an
-  append-only JSONL checkpoint store (O(new records) per flush) that
-  reads legacy whole-file JSON checkpoints transparently.
+  :func:`~repro.parallel.checkpoint.merge_shard_checkpoints`.
 
 The engine is wired in as ``run_experiment(..., workers=N,
 checkpoint=...)``, as the ``repro-le sweep`` CLI command, and as the
@@ -36,7 +36,6 @@ determinism guarantees are pinned down by ``tests/test_parallel_runner.py``,
 """
 
 from .checkpoint import (
-    CheckpointStore,
     ShardManifest,
     compact_record,
     manifest_path,
@@ -44,9 +43,9 @@ from .checkpoint import (
     result_from_record,
     result_to_record,
     shard_checkpoint_path,
+    writer_id,
 )
 from .runner import (
-    CHECKPOINT_FORMATS,
     DISPATCH_MODES,
     TaskExecutionError,
     run_experiments,
@@ -78,8 +77,6 @@ from .store import JsonlCheckpointStore
 __all__ = [
     "AUTO_SHARD",
     "AdaptiveScheduler",
-    "CHECKPOINT_FORMATS",
-    "CheckpointStore",
     "DEFAULT_AUTO_BLOCKS",
     "DEFAULT_LEASE_TIMEOUT",
     "DEFAULT_MAX_BATCH",
@@ -107,4 +104,5 @@ __all__ = [
     "task_key",
     "topology_fingerprint",
     "validate_shard",
+    "writer_id",
 ]

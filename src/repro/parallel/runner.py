@@ -32,11 +32,12 @@ Determinism guarantees
   readings differ from a serial run.
 * **Checkpoint-transparent results.**  Completed runs are persisted via
   the append-only :class:`~repro.parallel.store.JsonlCheckpointStore`
-  (which reads legacy whole-file JSON checkpoints transparently; pass
-  ``checkpoint_format="json"`` for the old rewrite store); a resumed
+  (which also imports legacy whole-file JSON checkpoints); a resumed
   sweep replays the stored runs and computes the same cells an
   uninterrupted sweep would (per-node diagnostic payloads may be dropped
-  if they are not JSON-encodable).
+  if they are not JSON-encodable).  The same restore path replays the
+  records of an open in-memory store, which is how archive queries fold
+  their hits.
 * **Shard-transparent results.**  ``shard=(i, k)`` restricts execution to
   a deterministic round-robin slice of the grid and persists it to a
   per-shard checkpoint plus a shard manifest; ``shard="auto"`` instead
@@ -90,7 +91,6 @@ from ..obs import (
     validate_profiler,
 )
 from .checkpoint import (
-    CheckpointStore,
     ShardManifest,
     manifest_path,
     result_from_record,
@@ -118,7 +118,6 @@ from .sharding import (
 from .store import JsonlCheckpointStore
 
 __all__ = [
-    "CHECKPOINT_FORMATS",
     "DISPATCH_MODES",
     "TaskExecutionError",
     "run_parallel_experiment",
@@ -127,9 +126,6 @@ __all__ = [
 
 #: Dispatch strategies of the pool engine (see module docstring).
 DISPATCH_MODES = ("adaptive", "static")
-#: On-disk checkpoint formats: append-only JSONL (the default) and the
-#: legacy whole-file-rewrite JSON store.
-CHECKPOINT_FORMATS = ("jsonl", "json")
 
 
 class _TimedTask(NamedTuple):
@@ -328,7 +324,7 @@ def run_parallel_experiment(
     spec: ExperimentSpec,
     *,
     workers: int = 1,
-    checkpoint: Optional[Union[str, Path]] = None,
+    checkpoint: Optional[Union[str, Path, JsonlCheckpointStore]] = None,
     checkpoint_compact: bool = False,
     start_method: Optional[str] = None,
     profiles: Optional[Dict[str, ExpansionProfile]] = None,
@@ -344,7 +340,6 @@ def run_parallel_experiment(
     task_timeout: Optional[float] = None,
     max_batch: Optional[int] = None,
     lease_timeout: Optional[float] = None,
-    checkpoint_format: str = "jsonl",
     checkpoint_flush_interval: Optional[float] = None,
 ) -> ExperimentResult:
     """Parallel drop-in for :func:`repro.analysis.experiments.run_experiment`."""
@@ -367,7 +362,6 @@ def run_parallel_experiment(
         task_timeout=task_timeout,
         max_batch=max_batch,
         lease_timeout=lease_timeout,
-        checkpoint_format=checkpoint_format,
         checkpoint_flush_interval=checkpoint_flush_interval,
     )[0]
 
@@ -376,7 +370,7 @@ def run_experiments(
     specs: Sequence[ExperimentSpec],
     *,
     workers: int = 1,
-    checkpoint: Optional[Union[str, Path]] = None,
+    checkpoint: Optional[Union[str, Path, JsonlCheckpointStore]] = None,
     checkpoint_compact: bool = False,
     start_method: Optional[str] = None,
     profiles: Optional[Dict[str, ExpansionProfile]] = None,
@@ -392,7 +386,6 @@ def run_experiments(
     task_timeout: Optional[float] = None,
     max_batch: Optional[int] = None,
     lease_timeout: Optional[float] = None,
-    checkpoint_format: str = "jsonl",
     checkpoint_flush_interval: Optional[float] = None,
 ) -> List[ExperimentResult]:
     """Run several specs through one worker pool and stream per-cell aggregates.
@@ -415,12 +408,20 @@ def run_experiments(
     recovered even without a timeout.  ``max_batch`` caps the adaptive
     batch size.  Results are bit-identical across all of these knobs.
 
-    ``checkpoint_format`` picks the on-disk store: ``"jsonl"`` (the
-    default — append-only, O(new records) per flush, reads legacy JSON
-    checkpoints transparently and migrates them on first flush) or
-    ``"json"`` (the legacy whole-file rewrite).
-    ``checkpoint_flush_interval`` overrides the store's flush throttle
-    (seconds between on-disk writes; 0 flushes after every run).
+    ``checkpoint`` is either a file path or an open store the caller
+    owns.  At a path, completed runs persist to an append-only
+    :class:`~repro.parallel.store.JsonlCheckpointStore` (O(new records)
+    per flush) and a rerun resumes from it; a legacy whole-file JSON
+    checkpoint there is imported and migrated to JSONL on the first
+    flush.  ``checkpoint_flush_interval`` overrides that store's flush
+    throttle (seconds between on-disk writes; 0 flushes after every run).
+    An open store is any object with the store's ``load``/``add``/
+    ``flush`` methods: the engine replays the records ``load()`` holds
+    for this grid, in the mapping's order, and hands every freshly
+    executed run to ``add`` — how
+    :func:`repro.archive.query.query_experiments` folds archive hits
+    without writing a file.  Sharding, ``checkpoint_compact`` and
+    ``checkpoint_flush_interval`` need a path.
 
     ``shard=(i, k)`` runs only shard ``i`` of a deterministic ``k``-way
     round-robin split of the pooled task list.  A sharded run requires a
@@ -483,10 +484,17 @@ def run_experiments(
         raise ConfigurationError(
             f"unknown dispatch mode {dispatch!r}: expected one of {DISPATCH_MODES}"
         )
-    if checkpoint_format not in CHECKPOINT_FORMATS:
+    open_store = checkpoint is not None and not isinstance(
+        checkpoint, (str, os.PathLike)
+    )
+    if open_store and (
+        shard is not None
+        or checkpoint_compact
+        or checkpoint_flush_interval is not None
+    ):
         raise ConfigurationError(
-            f"unknown checkpoint format {checkpoint_format!r}: expected one "
-            f"of {CHECKPOINT_FORMATS}"
+            "shard=, checkpoint_compact= and checkpoint_flush_interval= "
+            "configure a checkpoint file: pass its path, not an open store"
         )
     if task_timeout is not None and dispatch != "adaptive":
         raise ConfigurationError(
@@ -529,12 +537,6 @@ def run_experiments(
                 "a sharded sweep requires a checkpoint: shard results must "
                 "be persisted to be merged (pass checkpoint=/--checkpoint)"
             )
-        if auto_shard and checkpoint_format != "jsonl":
-            raise ConfigurationError(
-                "shard='auto' requires the JSONL checkpoint format: block "
-                "stealing stages appends per writer, which the rewrite "
-                "store cannot do"
-            )
 
     per_spec_tasks: List[List[RunTask]] = [
         expand_run_tasks(spec, derive_seeds=derive_seeds, base_seed=base_seed)
@@ -548,13 +550,11 @@ def run_experiments(
         for task in all_tasks
     }
 
-    def make_store(path, *, staged: bool = False):
+    def make_store(path, *, staged: bool = False) -> JsonlCheckpointStore:
         kwargs: Dict[str, object] = {"compact": checkpoint_compact}
         if checkpoint_flush_interval is not None:
             kwargs["flush_interval_seconds"] = checkpoint_flush_interval
-        if checkpoint_format == "jsonl":
-            return JsonlCheckpointStore(path, staged=staged, **kwargs)
-        return CheckpointStore(path, **kwargs)
+        return JsonlCheckpointStore(path, staged=staged, **kwargs)
 
     auto: Optional[_AutoPlan] = None
     store = None
@@ -592,7 +592,9 @@ def run_experiments(
         )
     else:
         my_tasks = all_tasks
-        if checkpoint is not None:
+        if open_store:
+            store = checkpoint
+        elif checkpoint is not None:
             store = make_store(checkpoint)
 
     aggregates = CellAggregatingSink()

@@ -1,27 +1,24 @@
-"""Append-only JSONL checkpoint store.
+"""The checkpoint store: completed runs as append-only JSONL.
 
-:class:`~repro.parallel.checkpoint.CheckpointStore` rewrites the whole
-JSON file on every flush — O(N) per flush, O(N²) file I/O over a sweep
-that checkpoints as it goes.  Harmless at thousands of runs, ruinous at
-millions.  :class:`JsonlCheckpointStore` keeps the same interface, the
-same deterministic task keys and the same atomic-publish discipline, but
-appends **one line per completed run**:
+:class:`JsonlCheckpointStore` records every completed run keyed by its
+deterministic task key and appends **one line per run**:
 
 * line 1 is a header (``{"kind": "checkpoint", "format": "jsonl", ...}``)
   identifying the format;
 * every further line is ``{"key": <task key>, "record": {...}}`` — the
   exact record :func:`~repro.parallel.checkpoint.result_to_record`
-  produces, so restore/merge semantics are unchanged.
+  produces.
 
 A flush appends only the runs completed since the last flush: O(new
 records), independent of how many are already on disk.  A sweep killed
 mid-append leaves at most one truncated trailing line, which the loader
 drops (those runs simply re-execute); every earlier line is intact.
 
-**Legacy transparency.**  ``load`` sniffs the format: a whole-file JSON
-checkpoint written by the rewrite store loads transparently and is
-migrated to JSONL on the first flush, so old checkpoints resume into the
-new store with nothing re-executed.  **Compaction** bounds the file when
+**Legacy import.**  ``load`` sniffs the format: a whole-file JSON
+checkpoint (``{"version": 1, "runs": {...}}``, written by earlier
+releases) loads transparently and is migrated to JSONL on the first
+flush, so old checkpoints resume with nothing re-executed.  The store
+never writes that format.  **Compaction** bounds the file when
 records are superseded (re-added keys, ``compact=True`` stripping
 per-node payloads): once enough dead lines accumulate, the next flush
 rewrites the file atomically — sorted by key, so a fully-compacted store
@@ -29,8 +26,8 @@ is byte-deterministic.
 
 **Staged mode** exists for the work-stealing shard path, where a stolen
 block can briefly have *two* jobs writing it.  A staged store appends to
-a writer-unique ``<path>.<pid>.partial`` sidecar (incremental durability
-without interleaving two writers' lines in one file) and
+a writer-unique ``<path>.<writer id>.partial`` sidecar (incremental
+durability without interleaving two writers' lines in one file) and
 :meth:`~JsonlCheckpointStore.publish` atomically replaces the real path
 with the full contents once the block completes; ``load`` folds in any
 leftover partials from a dead job, so a thief resumes the victim's
@@ -40,14 +37,15 @@ partial progress instead of redoing the whole block.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.errors import ConfigurationError
 from ..obs import span
-from .checkpoint import CheckpointStore, compact_record
+from .checkpoint import FORMAT_VERSION, compact_record, writer_id
 
 __all__ = ["JSONL_FORMAT", "JsonlCheckpointStore"]
 
@@ -87,13 +85,17 @@ def _is_jsonl_header(line: str) -> bool:
     )
 
 
-class JsonlCheckpointStore(CheckpointStore):
-    """Drop-in :class:`CheckpointStore` with append-only JSONL persistence.
+class JsonlCheckpointStore:
+    """Completed run records keyed by task key, persisted as append-only JSONL.
 
-    Same constructor, same ``load``/``add``/``flush``/``compact``
-    surface, same throttled-flush discipline — only the file format and
-    the flush cost change.  See the module docstring for the format, the
-    legacy migration and the staged mode.
+    Flushes are throttled: :meth:`add` writes when the last flush is
+    older than ``flush_interval_seconds`` and otherwise only marks the
+    store dirty.  Callers flush explicitly at the end of a sweep; an
+    interrupt in between loses at most one interval's worth of completed
+    runs.  With ``compact=True`` every record is compacted on the way in
+    (see :func:`~repro.parallel.checkpoint.compact_record`), including
+    records loaded from an existing full checkpoint.  See the module
+    docstring for the format, the legacy import and the staged mode.
     """
 
     def __init__(
@@ -104,10 +106,29 @@ class JsonlCheckpointStore(CheckpointStore):
         compact: bool = False,
         staged: bool = False,
     ) -> None:
-        super().__init__(
-            path, flush_interval_seconds=flush_interval_seconds, compact=compact
-        )
+        self.path = Path(path)
+        # Create missing parent directories up front: an unwritable or
+        # misspelled checkpoint directory must fail at store construction,
+        # not hours into a sweep when the first flush fires.
+        if self.path.parent and not self.path.parent.exists():
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        # Fail at construction, not mid-sweep: a negative interval would
+        # flush on every add (probably a unit slip), and NaN comparisons
+        # are always False, silently disabling throttled flushing.
+        if math.isnan(flush_interval_seconds) or flush_interval_seconds < 0:
+            raise ConfigurationError(
+                f"flush_interval_seconds must be a non-negative number, "
+                f"got {flush_interval_seconds}"
+            )
+        self.flush_interval_seconds = flush_interval_seconds
+        self.compact_records = compact
+        self._runs: Dict[str, Dict[str, object]] = {}
+        self._loaded = False
+        self._dirty = False
+        self._last_flush = float("-inf")
         self._staged = staged
+        #: this store's staged sidecar, unique to the writer
+        self._partial = self.path.with_name(f"{self.path.name}.{writer_id()}.partial")
         #: (key, record) completions not yet appended to disk
         self._pending: List[Tuple[str, Dict[str, object]]] = []
         #: superseded lines sitting in the file (duplicate keys, compacted
@@ -117,7 +138,15 @@ class JsonlCheckpointStore(CheckpointStore):
         #: force the next flush to be an atomic whole-file rewrite —
         #: set by legacy migration and :meth:`compact`
         self._needs_rewrite = False
-        self._appended_since_rewrite = False
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.load()
+
+    def __len__(self) -> int:
+        return len(self.load())
+
+    def get(self, key: str) -> Optional[Dict[str, object]]:
+        return self.load().get(key)
 
     # ------------------------------------------------------------------ #
     # loading (format sniff + tolerant JSONL parse)
@@ -128,34 +157,34 @@ class JsonlCheckpointStore(CheckpointStore):
         self._loaded = True
         with span("checkpoint.load"):
             if self.path.exists():
-                self._load_file(self.path, tolerate_trailing=True)
+                self._load_file(self.path)
             if self._staged:
-                # Fold in partials left by writers of this path — ours
-                # from a previous life, or a dead job's whose block we
-                # are stealing.  Their records are deterministic re-runs
-                # of the same tasks, so merge order cannot matter.
+                # Fold in partials left by other writers of this path — a
+                # dead job's whose block we are stealing, or a live one's
+                # racing us.  Their records are deterministic re-runs of
+                # the same tasks, so merge order cannot matter.
                 for partial in sorted(self.path.parent.glob(f"{self.path.name}.*.partial")):
-                    self._load_file(partial, tolerate_trailing=True, jsonl_only=True)
+                    try:
+                        self._load_file(partial, jsonl_only=True)
+                    except FileNotFoundError:
+                        continue  # its writer published and removed it
         if self.compact_records:
             self.compact()
         return self._runs
 
-    def _load_file(
-        self, path: Path, *, tolerate_trailing: bool, jsonl_only: bool = False
-    ) -> None:
+    def _load_file(self, path: Path, *, jsonl_only: bool = False) -> None:
         text = path.read_text(encoding="utf-8")
         lines = text.split("\n")
         if not jsonl_only and not _is_jsonl_header(lines[0] if lines else ""):
             self._load_legacy(path, text)
             return
-        parsed = 0
         for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
                 payload = json.loads(line)
             except ValueError as error:
-                if tolerate_trailing and number == len(lines):
+                if number == len(lines):
                     # A writer died mid-append; drop the torn line (its
                     # runs re-execute) and keep everything before it.
                     self._needs_rewrite = True
@@ -190,7 +219,6 @@ class JsonlCheckpointStore(CheckpointStore):
             if key in self._runs:
                 self._dead_lines += 1
             self._runs[str(key)] = dict(record)
-            parsed += 1
         if path != self.path:
             # Records recovered from a partial are not in the real file
             # yet; make sure they end up there even if no new run is
@@ -199,9 +227,7 @@ class JsonlCheckpointStore(CheckpointStore):
             self._needs_rewrite = True
 
     def _load_legacy(self, path: Path, text: str) -> None:
-        """Read a whole-file JSON checkpoint written by the rewrite store."""
-        from .checkpoint import FORMAT_VERSION
-
+        """Import a legacy whole-file JSON checkpoint (``{"version", "runs"}``)."""
         try:
             payload = json.loads(text)
         except ValueError as error:
@@ -246,8 +272,20 @@ class JsonlCheckpointStore(CheckpointStore):
             self.flush()
 
     def compact(self) -> int:
-        compacted = super().compact()
+        """Compact every stored record in place; returns how many shrank.
+
+        Useful for shrinking the checkpoint of an interrupted large sweep
+        before archiving or resuming it; the next :meth:`flush` rewrites
+        the file in compact form.
+        """
+        compacted = 0
+        for key, record in self.load().items():
+            slim = compact_record(record)
+            if slim != record:
+                self._runs[key] = slim
+                compacted += 1
         if compacted:
+            self._dirty = True
             # Superseded full records are dead lines in the file; force
             # the next flush to rewrite rather than append-after.
             self._needs_rewrite = True
@@ -262,7 +300,7 @@ class JsonlCheckpointStore(CheckpointStore):
     def flush(self) -> None:
         if not self._dirty and (self._staged or self.path.exists()):
             return
-        target = self._partial_path() if self._staged else self.path
+        target = self._partial if self._staged else self.path
         with span("checkpoint.flush"):
             if not self._staged and (self._needs_rewrite or self._compaction_due()):
                 self._rewrite(self.path)
@@ -294,9 +332,6 @@ class JsonlCheckpointStore(CheckpointStore):
         self._dirty = False
         self._last_flush = time.monotonic()
 
-    def _partial_path(self) -> Path:
-        return self.path.with_name(f"{self.path.name}.{os.getpid()}.partial")
-
     def _append(self, target: Path) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         write_header = not target.exists() or target.stat().st_size == 0
@@ -306,12 +341,11 @@ class JsonlCheckpointStore(CheckpointStore):
             for key, record in self._pending:
                 handle.write(_record_line(key, record) + "\n")
         self._pending = []
-        self._appended_since_rewrite = True
 
     def _rewrite(self, target: Path) -> None:
         """One atomic whole-file write: header + live records sorted by key."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        temp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+        temp = target.with_name(f"{target.name}.{writer_id()}.tmp")
         with open(temp, "w", encoding="utf-8") as handle:
             handle.write(_header_line() + "\n")
             for key in sorted(self._runs):
@@ -320,4 +354,3 @@ class JsonlCheckpointStore(CheckpointStore):
         self._pending = []
         self._dead_lines = 0
         self._needs_rewrite = False
-        self._appended_since_rewrite = False

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import tempfile
 import threading
 import urllib.error
 import urllib.request
@@ -340,15 +341,69 @@ class TestQueryEquivalence:
             == curves_as_dicts(fold_experiments(specs, warm.results))
         )
 
+    def test_fully_archived_query_stages_nothing_on_disk(
+        self, tmp_path, monkeypatch
+    ):
+        db = tmp_path / "a.sqlite"
+        specs = small_specs()
+        direct = run_experiments(specs)
+        query_experiments(specs, archive=db)
+
+        def no_temp_dirs(*args, **kwargs):
+            raise AssertionError("a query must not create a temp directory")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", no_temp_dirs)
+
+        class Order:
+            def __init__(self):
+                self.seen = []
+
+            def emit(self, spec_name, topology_index, seed_index, result, elapsed):
+                self.seen.append((spec_name, topology_index, seed_index))
+
+            def close(self):
+                pass
+
+            def abort(self):
+                pass
+
+        order = Order()
+        warm = query_experiments(specs, archive=db, sinks=[order])
+        assert warm.report.simulated_runs == 0
+        assert stripped_cells(warm.results) == stripped_cells(direct)
+        # Hits replay in task-key order.
+        tasks = sorted(
+            (task for spec in specs for task in expand_run_tasks(spec)),
+            key=lambda task: task.key,
+        )
+        assert order.seen == [
+            (task.spec_name, task.topology_index, task.seed_index)
+            for task in tasks
+        ]
+
     def test_reserved_runner_kwargs_rejected(self, tmp_path):
         specs = small_specs()
-        for reserved in ("checkpoint", "shard", "keep_results"):
+        for reserved in (
+            "checkpoint",
+            "checkpoint_compact",
+            "checkpoint_flush_interval",
+            "shard",
+            "lease_timeout",
+            "keep_results",
+        ):
             with pytest.raises(ConfigurationError, match="does not accept"):
                 query_experiments(
                     specs,
                     archive=tmp_path / "a.sqlite",
                     **{reserved: "anything"},
                 )
+        # The facade refuses the same knobs instead of dropping them.
+        for config in (
+            api.SweepConfig(lease_timeout=60.0),
+            api.SweepConfig(checkpoint_flush_interval=0.0),
+        ):
+            with pytest.raises(ConfigurationError, match="does not accept"):
+                api.query(specs, archive=tmp_path / "a.sqlite", config=config)
 
 
 # --------------------------------------------------------------------------- #

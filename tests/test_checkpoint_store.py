@@ -2,7 +2,7 @@
 
 Pins the on-disk contract of :class:`repro.parallel.store.JsonlCheckpointStore`:
 one header line plus one line per completed run, flushes that append
-rather than rewrite, transparent reads of legacy whole-file JSON
+rather than rewrite, transparent imports of legacy whole-file JSON
 checkpoints (migrated to JSONL on the first real flush, with nothing
 re-executed), tolerance of a torn trailing line from a writer killed
 mid-append, compaction once dead lines outnumber live records, and the
@@ -20,10 +20,9 @@ from repro.analysis.runners import flooding_runner
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, star
 from repro.parallel import (
-    CheckpointStore,
     JsonlCheckpointStore,
+    expand_run_tasks,
     result_to_record,
-    run_experiments,
 )
 
 SEEDS = (0, 1, 2)
@@ -54,6 +53,14 @@ def _records(count):
         result = flooding_runner(cycle(8), seed)
         out[f"key-{seed}"] = result_to_record(result, 0.1 * (seed + 1))
     return out
+
+
+def _write_legacy(path, runs, version=1):
+    """A whole-file JSON checkpoint, as earlier releases wrote them."""
+    path.write_text(
+        json.dumps({"version": version, "runs": runs}, indent=1, sort_keys=True),
+        encoding="utf-8",
+    )
 
 
 def _counted_runner(topology, seed):
@@ -127,21 +134,14 @@ class TestJsonlFormat:
 class TestLegacyTransparency:
     def test_reads_legacy_whole_file_json(self, tmp_path):
         path = tmp_path / "ck.json"
-        legacy = CheckpointStore(path, flush_interval_seconds=0.0)
         records = _records(3)
-        for key, record in records.items():
-            legacy.add(key, record)
-        legacy.flush()
-        assert json.loads(path.read_text())["runs"] == records
+        _write_legacy(path, records)
         assert JsonlCheckpointStore(path).load() == records
 
     def test_migrates_to_jsonl_on_first_flush(self, tmp_path):
         path = tmp_path / "ck.json"
-        legacy = CheckpointStore(path, flush_interval_seconds=0.0)
         records = _records(2)
-        for key, record in records.items():
-            legacy.add(key, record)
-        legacy.flush()
+        _write_legacy(path, records)
         store = JsonlCheckpointStore(path, flush_interval_seconds=0.0)
         extra = _records(3)["key-2"]
         store.add("key-2", extra)
@@ -162,23 +162,26 @@ class TestLegacyTransparency:
         serial = run_experiment(_spec(name="counted", runner=_counted_runner))
         count_file.write_text("")
 
-        # Interrupted sweep under the legacy format: 2 of 3 seeds done.
-        run_experiments(
-            [_spec(seeds=(0, 1), name="counted", runner=_counted_runner)],
-            checkpoint=checkpoint,
-            checkpoint_format="json",
+        # An interrupted sweep left a legacy checkpoint: 2 of 3 seeds done.
+        interrupted = _spec(seeds=(0, 1), name="counted", runner=_counted_runner)
+        _write_legacy(
+            checkpoint,
+            {
+                task.key: result_to_record(
+                    flooding_runner(task.topology, task.seed), 0.1
+                )
+                for task in expand_run_tasks(interrupted)
+            },
         )
-        assert len(count_file.read_text().splitlines()) == 4
-        assert "runs" in json.loads(checkpoint.read_text())
 
-        # Resume with the JSONL default: only the 2 missing runs execute,
+        # Resume through the JSONL store: only the 2 missing runs execute,
         # the file migrates, and the cells match the serial sweep exactly.
         resumed = run_experiment(
             _spec(name="counted", runner=_counted_runner),
             workers=2,
             checkpoint=checkpoint,
         )
-        assert len(count_file.read_text().splitlines()) == 6
+        assert len(count_file.read_text().splitlines()) == 2
         assert _comparable(resumed.cells) == _comparable(serial.cells)
         header = json.loads(checkpoint.read_text().splitlines()[0])
         assert header["format"] == "jsonl"
@@ -190,7 +193,7 @@ class TestLegacyTransparency:
             _spec(name="counted", runner=_counted_runner),
             checkpoint=checkpoint,
         )
-        assert len(count_file.read_text().splitlines()) == 6
+        assert len(count_file.read_text().splitlines()) == 2
         assert _comparable(replayed.cells) == _comparable(serial.cells)
         assert checkpoint.read_bytes() == before
 
@@ -273,15 +276,11 @@ class TestCompaction:
         assert keys == sorted(keys)
 
     def test_flush_interval_validation(self, tmp_path):
-        for store_cls in (CheckpointStore, JsonlCheckpointStore):
-            for bad in (-1.0, float("nan")):
-                with pytest.raises(
-                    ConfigurationError, match="flush_interval_seconds"
-                ):
-                    store_cls(tmp_path / "ck.json", flush_interval_seconds=bad)
-            # Zero (flush on every add) stays legal.
-            store_cls(tmp_path / f"ok-{store_cls.__name__}.json",
-                      flush_interval_seconds=0.0)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ConfigurationError, match="flush_interval_seconds"):
+                JsonlCheckpointStore(tmp_path / "ck.json", flush_interval_seconds=bad)
+        # Zero (flush on every add) stays legal.
+        JsonlCheckpointStore(tmp_path / "ok.json", flush_interval_seconds=0.0)
 
 
 class TestStagedMode:
@@ -296,8 +295,8 @@ class TestStagedMode:
         staged.flush()
         # Flushes land in the writer-unique partial; the real path does
         # not exist until publish.
-        partial = Path(f"{path}.{os.getpid()}.partial")
-        assert partial.exists() and not path.exists()
+        (partial,) = tmp_path.glob("block.json.*.partial")
+        assert not path.exists()
         staged.publish()
         assert path.exists() and not partial.exists()
         assert JsonlCheckpointStore(path).load() == records

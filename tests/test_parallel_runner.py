@@ -27,7 +27,6 @@ from repro.analysis.runners import flooding_runner, uniform_id_runner
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, random_regular, star
 from repro.parallel import (
-    CheckpointStore,
     JsonlCheckpointStore,
     TaskExecutionError,
     compact_record,
@@ -356,25 +355,46 @@ class TestCheckpointing:
         runs = _stored_runs(checkpoint)
         assert len(runs) == len(spec.topologies) * len(SEEDS) + 1
 
+    def test_open_store_checkpoint_resumes_in_memory(self, tmp_path):
+        spec = _spec()
+        plain = run_experiment(spec)
+        store = JsonlCheckpointStore(tmp_path / "ck.json")
+        (first,) = run_experiments([spec], checkpoint=store)
+        assert len(store) == len(spec.topologies) * len(SEEDS)
+        # Replaying the same open store re-executes nothing.
+        before = dict(store.load())
+        (replayed,) = run_experiments([spec], workers=2, checkpoint=store)
+        assert store.load() == before
+        assert _comparable(first.cells) == _comparable(plain.cells)
+        assert _comparable(replayed.cells) == _comparable(plain.cells)
+        # File-only knobs need a path, not an open store.
+        for knob in ({"shard": (0, 2)}, {"checkpoint_compact": True}):
+            with pytest.raises(ConfigurationError, match="open store"):
+                run_experiments([spec], checkpoint=store, **knob)
+
     def test_wrong_format_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 999, "runs": {}}))
         # ConfigurationError, so the CLI reports it as a clean `error:` line.
-        with pytest.raises(ConfigurationError):
-            CheckpointStore(path).load()
+        with pytest.raises(ConfigurationError, match="format version 999"):
+            JsonlCheckpointStore(path).load()
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "corrupt.json"
         path.write_text('{"version": 1, "runs": {tru')
-        with pytest.raises(ConfigurationError, match="not valid JSON"):
-            CheckpointStore(path).load()
+        with pytest.raises(ConfigurationError, match="nor valid JSON"):
+            JsonlCheckpointStore(path).load()
 
     def test_atomic_flush_leaves_no_temp_file(self, tmp_path):
-        store = CheckpointStore(tmp_path / "deep" / "ck.json")
+        store = JsonlCheckpointStore(tmp_path / "deep" / "ck.json")
         result = flooding_runner(cycle(8), 0)
         store.add("k", result_to_record(result, 0.1))
         assert (tmp_path / "deep" / "ck.json").exists()
-        assert not (tmp_path / "deep" / "ck.json.tmp").exists()
+        # compact() forces the next flush to be an atomic whole-file
+        # rewrite through a temp file.
+        assert store.compact() == 1
+        store.flush()
+        assert [p.name for p in (tmp_path / "deep").iterdir()] == ["ck.json"]
 
 
 class TestCheckpointCompaction:

@@ -39,6 +39,7 @@ from repro.parallel import (
     manifest_path,
     merge_shard_checkpoints,
     parse_shard,
+    result_to_record,
     run_experiments,
     shard_checkpoint_path,
     split_blocks,
@@ -489,16 +490,6 @@ class TestAutoShard:
         with pytest.raises(ConfigurationError, match="checkpoint"):
             run_experiments([_spec()], workers=1, shard="auto")
 
-    def test_auto_requires_jsonl_format(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="JSONL"):
-            run_experiments(
-                [_spec()],
-                workers=1,
-                checkpoint=tmp_path / "sweep.json",
-                shard="auto",
-                checkpoint_format="json",
-            )
-
 
 class TestLeaseDirectory:
     def test_claims_are_exclusive_and_ordered(self, tmp_path):
@@ -589,3 +580,109 @@ class TestBlockPlanning:
         payload = static.as_payload()
         payload.pop("mode")
         assert ShardManifest.from_payload(payload, "test").mode == "static"
+
+
+def _in_threads(count, work):
+    """Run ``work(i)`` in ``count`` threads released together; return errors."""
+    barrier = threading.Barrier(count)
+    errors = []
+
+    def run(index):
+        try:
+            barrier.wait()
+            work(index)
+        except Exception as error:  # noqa: BLE001 - surfaced by the caller
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return errors
+
+
+class TestThreadWriters:
+    """Writers that are threads of one process share no temp path, lease
+    owner or staged partial (writer identity is not just the pid)."""
+
+    def test_concurrent_manifest_writes(self, tmp_path):
+        keys = [task.key for task in expand_run_tasks(_spec())]
+        names = []
+        for attempt in range(20):
+            path = tmp_path / f"sweep{attempt}.manifest.json"
+            names.append(path.name)
+            manifest = ShardManifest.plan_auto(
+                tmp_path / f"sweep{attempt}.json", keys, 3
+            )
+            assert not _in_threads(8, lambda _i: manifest.write(path))
+            assert ShardManifest.load(path) == manifest
+        # Every temp file was published or replaced: none is left over.
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+
+    def test_leases_claim_steal_and_mark_done(self, tmp_path):
+        base = tmp_path / "sweep.json"
+        claims = {}
+
+        def claim_all(_index):
+            leases = LeaseDirectory(base, 16, lease_timeout=60.0)
+            mine = []
+            claim = leases.claim_next()
+            while claim is not None:
+                mine.append(claim[0])
+                claim = leases.claim_next()
+            claims[leases.owner] = mine
+
+        assert not _in_threads(4, claim_all)
+        assert len(claims) == 4  # one owner per writer
+        assert sorted(i for mine in claims.values() for i in mine) == list(range(16))
+
+        # Every owner "dies": all leases go stale, and the writers race to
+        # steal blocks and mark them done.
+        directory = LeaseDirectory(base, 16, owner="inspector")
+        stale = time.time() - 3600
+        for index in range(16):
+            os.utime(directory.lease_path(index), (stale, stale))
+
+        def steal(_index):
+            leases = LeaseDirectory(base, 16, lease_timeout=60.0)
+            index, stolen = leases.claim_next()
+            assert stolen
+            leases.mark_done(index)
+
+        assert not _in_threads(8, steal)
+        leftovers = [
+            p.name
+            for p in directory.directory.iterdir()
+            if p.suffix not in (".lease", ".done")
+        ]
+        assert leftovers == []
+
+    def test_staged_partials_are_per_writer(self, tmp_path):
+        path = tmp_path / "block.json"
+        tasks = expand_run_tasks(_spec())[:6]
+        records = {
+            task.key: result_to_record(flooding_runner(task.topology, task.seed), 0.1)
+            for task in tasks
+        }
+        keys = sorted(records)
+        halves = [keys[0::2], keys[1::2]]
+
+        def write_half(index):
+            store = JsonlCheckpointStore(path, flush_interval_seconds=0.0, staged=True)
+            store.load()
+            for key in halves[index]:
+                store.add(key, records[key])
+
+        assert not _in_threads(2, write_half)
+        partials = sorted(tmp_path.glob("block.json.*.partial"))
+        assert len(partials) == 2
+        # Each partial holds exactly one writer's lines, none interleaved.
+        assert sorted(
+            sorted(JsonlCheckpointStore(partial).load()) for partial in partials
+        ) == sorted(halves)
+        thief = JsonlCheckpointStore(path, staged=True)
+        assert thief.load() == records
+        thief.publish()
+        assert JsonlCheckpointStore(path).load() == records
+        assert not list(tmp_path.glob("block.json.*.partial"))
