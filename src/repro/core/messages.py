@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 __all__ = [
     "Message",
@@ -83,6 +83,19 @@ def congest_budget_bits(n: int, factor: int = 8) -> int:
     return factor * max(1, math.ceil(math.log2(max(2, n))))
 
 
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """The dataclass field names of ``cls``, cached on the class itself.
+
+    The cache is read from ``cls.__dict__`` (not inherited), so a subclass
+    that adds fields computes its own tuple.
+    """
+    names = cls.__dict__.get("_size_field_names")
+    if names is None:
+        names = tuple(field.name for field in dataclasses.fields(cls))
+        setattr(cls, "_size_field_names", names)
+    return names
+
+
 @dataclass(frozen=True)
 class Message:
     """Base class for protocol messages.
@@ -104,8 +117,12 @@ class Message:
         fields relative to ``n``; the default implementation ignores it.
         """
         total = self.TYPE_TAG_BITS
-        for field in dataclasses.fields(self):
-            total += bits_for_value(getattr(self, field.name))
+        for name in _field_names(type(self)):
+            value = getattr(self, name)
+            if type(value) is int and value > 0:
+                total += value.bit_length()  # bits_for_int, minus its checks
+            else:
+                total += bits_for_value(value)
         return total
 
     def congest_units(self) -> int:

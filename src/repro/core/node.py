@@ -96,9 +96,12 @@ class ProtocolNode(ABC):
         every round in ``[round_index, r)`` a step with an **empty** inbox
         would return an empty outbox, draw nothing from ``self.rng`` and
         change no observable state — i.e. the step is a no-op the backend
-        may elide.  An arriving message always wakes the node regardless of
-        the declared horizon, and the declaration is re-queried after every
-        executed step.
+        may elide.  Internal counters that feed no decision may drift while
+        the node is skipped (for example a count of executed rounds that
+        can change behaviour only after the node's last turn); no message,
+        random draw or ``result()`` entry may depend on them.  An arriving
+        message always wakes the node regardless of the declared horizon,
+        and the declaration is re-queried after every executed step.
 
         The default returns ``round_index`` (never quiescent), which keeps
         the event backend bit-identical to the round backend for protocols

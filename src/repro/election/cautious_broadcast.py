@@ -465,9 +465,27 @@ class CautiousBroadcastManager:
         source_id = self._order[slot]
         return self._states[source_id].prepare_transmissions(rng)
 
-    def quiescent(self) -> bool:
-        """Whether every known instance is quiescent (slots are all no-ops)."""
-        return all(state.quiescent() for state in self._states.values())
+    def next_live_round(self, round_index: int, end: int) -> int:
+        """First round ``r`` in ``[round_index, end)`` whose slot transmits.
+
+        Slot ``s`` is served in the rounds ``r`` with ``r % num_slots == s``,
+        and it is *live* while its instance is not quiescent.  Every other
+        round's slot step is a no-op until a message arrives, so the node
+        may sleep until the earliest live turn; ``end`` (the end of the
+        broadcast phase) when there is none.  Instances registered past
+        ``num_slots`` own no slot and never transmit, so they never keep
+        the node awake.
+        """
+        num_slots = self.num_slots
+        states = self._states
+        base = round_index % num_slots
+        horizon = end
+        for slot, source_id in enumerate(self._order[:num_slots]):
+            if not states[source_id].quiescent():
+                live = round_index + (slot - base) % num_slots
+                if live < horizon:
+                    horizon = live
+        return horizon
 
     # -------------------------------------------------------------- #
     # inspection used by the later election phases and by analysis

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
+import repro.baselines
+import repro.election
+import repro.impossibility
 from repro.core import Message, bits_for_int, bits_for_value, congest_budget_bits, id_space_bits
 
 
@@ -20,6 +25,14 @@ class _Sample(Message):
 @dataclass(frozen=True)
 class _Nested(Message):
     pair: Tuple[int, int]
+
+
+@dataclass(frozen=True)
+class _SampleChild(_Sample):
+    """A subclass of a subclass that adds fields of its own."""
+
+    extra: int = 0
+    items: Tuple[int, ...] = ()
 
 
 class TestBitsForInt:
@@ -86,6 +99,80 @@ class TestMessageSize:
         message = _Sample(value=1, flag=False)
         with pytest.raises(Exception):
             message.value = 2  # type: ignore[misc]
+
+
+def _reflection_size_bits(message: Message) -> int:
+    """The field-walking sum ``Message.size_bits`` used to compute directly."""
+    return message.TYPE_TAG_BITS + sum(
+        bits_for_value(getattr(message, field.name))
+        for field in dataclasses.fields(message)
+    )
+
+
+def _message_classes() -> List[type]:
+    found, pending = [], [Message]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            found.append(cls)
+            pending.append(cls)
+    return found
+
+
+#: per field type: a small and a large sample value
+_FIELD_SAMPLES = {
+    int: (0, 2**40 + 3),
+    bool: (False, True),
+    float: (0.25, 1e9),
+    str: ("", "ab"),
+    Optional[int]: (None, 77),
+}
+
+
+def _sample_instances(cls: type) -> List[Message]:
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    return [
+        cls(**{field.name: _FIELD_SAMPLES[hints[field.name]][variant] for field in fields})
+        for variant in (0, 1)
+    ]
+
+
+class TestCachedSizeBits:
+    """The cached field walk charges exactly what the reflection sum did."""
+
+    def test_every_reachable_message_class(self):
+        checked = []
+        for cls in _message_classes():
+            if cls.size_bits is not Message.size_bits or not cls.__module__.startswith(
+                "repro."
+            ):
+                continue  # own encoding (e.g. TokenBundle) or a test-local class
+            for message in _sample_instances(cls):
+                assert message.size_bits() == _reflection_size_bits(message), message
+            checked.append(cls.__name__)
+        # Cautious broadcast (5), convergecast, diffusion (2), explicit
+        # announcement, walk probe, flooding and the pumping wheel.
+        assert len(checked) >= 12, checked
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            _Sample(value=5, flag=True),
+            _Sample(value=0, flag=False, note="abc"),
+            _Sample(value=-9, flag=True, note=None),
+            _Nested(pair=(0, 2**70)),
+            _SampleChild(value=3, flag=False, extra=2**33, items=(1, 0, True)),
+            _SampleChild(value=1, flag=True, note="z"),
+        ],
+    )
+    def test_edge_fields(self, message):
+        assert message.size_bits() == _reflection_size_bits(message)
+
+    def test_subclass_does_not_reuse_the_parent_cache(self):
+        parent = _Sample(value=4, flag=True)
+        child = _SampleChild(value=4, flag=True, extra=4, items=(4,))
+        assert parent.size_bits() == Message.TYPE_TAG_BITS + 3 + 1
+        assert child.size_bits() == parent.size_bits() + 3 + 3
 
 
 class TestBudgets:

@@ -298,3 +298,36 @@ class TestManager:
         manager.add_source_instance(1)
         manager.handle_inbox({1: OfferMessage(source_id=2)})
         assert manager.overflow_instances == 1
+
+    def test_next_live_round_picks_the_earliest_live_slot(self):
+        config = CautiousBroadcastConfig(protocol_rounds=10, territory_cap=10)
+        manager = CautiousBroadcastManager(num_ports=4, config=config, num_slots=8)
+        manager.add_source_instance(100)  # slot 0: live (first step reports)
+        for source_id in range(101, 108):
+            # An activation prompt registers an instance without joining it,
+            # which leaves it quiescent; an offer joins it and makes it live.
+            live = source_id in (103, 107)
+            message = OfferMessage if live else ActivateMessage
+            manager.handle_inbox({1: message(source_id=source_id)})
+        assert [manager.state(100 + slot).quiescent() for slot in range(8)] == [
+            slot not in (0, 3, 7) for slot in range(8)
+        ]
+        assert manager.next_live_round(0, 1000) == 0
+        assert manager.next_live_round(1, 1000) == 3
+        assert manager.next_live_round(4, 1000) == 7
+        assert manager.next_live_round(8, 1000) == 8
+        assert manager.next_live_round(9, 1000) == 11
+        assert manager.next_live_round(16 * 8 + 5, 1000) == 16 * 8 + 7
+        # Capped at the end of the phase.
+        assert manager.next_live_round(988, 990) == 990
+
+    def test_overflow_instance_does_not_keep_the_node_awake(self):
+        config = CautiousBroadcastConfig(protocol_rounds=10, territory_cap=10)
+        manager = CautiousBroadcastManager(num_ports=2, config=config, num_slots=1)
+        manager.handle_inbox({1: ActivateMessage(source_id=1)})  # slot 0, quiescent
+        manager.handle_inbox({2: OfferMessage(source_id=2)})  # past the last slot
+        assert manager.overflow_instances == 1
+        assert not manager.state(2).quiescent()
+        # The overflow instance owns no slot and never transmits.
+        assert manager.transmissions_for_slot(0, random.Random(0)) == {}
+        assert manager.next_live_round(3, 50) == 50
