@@ -34,8 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import ExperimentSpec
-from repro.analysis.runners import flooding_runner
+from repro.analysis import CollectingSink, ExperimentSpec
 from repro.graphs import complete, cycle, star
 from repro.obs import TelemetrySink, read_telemetry, summarize_telemetry
 from repro.parallel import run_experiments
@@ -235,14 +234,14 @@ def _hetero_specs():
     return [
         ExperimentSpec(
             name="cheap",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(6), star(6), cycle(8)],
             seeds=tuple(range(CHEAP_SEEDS)),
             collect_profile=False,
         ),
         ExperimentSpec(
             name="expensive",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[complete(40)],
             seeds=(0, 1, 2, 3),
             collect_profile=False,
@@ -254,7 +253,7 @@ def _checkpoint_specs():
     return [
         ExperimentSpec(
             name="checkpointed",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(24)],
             seeds=tuple(range(CHECKPOINT_RUNS)),
             collect_profile=False,
@@ -406,9 +405,10 @@ MEMORY_RUNS_SMALL = 8 if SMOKE else 32
 MEMORY_SCALE = 4
 
 
-def _aggregate_sweep(num_seeds: int, *, keep_results: bool = False) -> int:
+def _aggregate_sweep(num_seeds: int, *, collect: bool = False) -> int:
     """Run a one-topology flooding grid of ``num_seeds`` runs; return the
-    peak traced allocation in bytes."""
+    peak traced allocation in bytes.  ``collect`` retains every run in a
+    :class:`~repro.analysis.CollectingSink`."""
     specs = sweep_specs(
         ("flooding",),
         [cycle(MEMORY_TOPOLOGY_SIZE)],
@@ -417,7 +417,9 @@ def _aggregate_sweep(num_seeds: int, *, keep_results: bool = False) -> int:
     )
     tracemalloc.start()
     try:
-        run_experiments(specs, workers=1, keep_results=keep_results)
+        run_experiments(
+            specs, workers=1, sinks=[CollectingSink()] if collect else []
+        )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -433,16 +435,16 @@ def test_streaming_memory(benchmark):
     the run count: with per-run streaming the 4x grid must cost well under
     2x the peak — the old engine retained every
     ``LeaderElectionResult`` (O(runs × nodes)) and scaled linearly.  The
-    opt-in ``keep_results`` sink is measured alongside as the contrast,
+    opt-in ``CollectingSink`` is measured alongside as the contrast,
     and the process-level peak RSS lands in the BENCH JSON so the memory
     trajectory is tracked over time.
     """
     runs_large = MEMORY_RUNS_SMALL * MEMORY_SCALE
-    peak_small, peak_large, peak_keep = benchmark.pedantic(
+    peak_small, peak_large, peak_collect = benchmark.pedantic(
         lambda: (
             _aggregate_sweep(MEMORY_RUNS_SMALL),
             _aggregate_sweep(runs_large),
-            _aggregate_sweep(runs_large, keep_results=True),
+            _aggregate_sweep(runs_large, collect=True),
         ),
         rounds=1,
         iterations=1,
@@ -458,7 +460,7 @@ def test_streaming_memory(benchmark):
             "runs_large": runs_large,
             "peak_bytes_small": peak_small,
             "peak_bytes_large": peak_large,
-            "peak_bytes_keep_results": peak_keep,
+            "peak_bytes_collecting_sink": peak_collect,
             "aggregate_peak_growth": growth,
             "peak_rss_kb": peak_rss_kb,
             "smoke": SMOKE,
@@ -475,7 +477,7 @@ def test_streaming_memory(benchmark):
     )
     # The opt-in retention sink is the contrast: keeping every result of
     # the large grid must cost visibly more than streaming it.
-    assert peak_keep > peak_large, (
-        f"keep_results peak ({peak_keep}) not above streaming peak "
+    assert peak_collect > peak_large, (
+        f"CollectingSink peak ({peak_collect}) not above streaming peak "
         f"({peak_large}); the retention sink is not retaining"
     )

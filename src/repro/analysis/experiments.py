@@ -1,10 +1,10 @@
 """Experiment runner: sweeps of election algorithms over topologies and seeds.
 
 The benchmark harness and the examples share the same driver: an
-:class:`ExperimentSpec` names an algorithm (a callable that takes a topology
-and a seed and returns a :class:`~repro.election.base.LeaderElectionResult`)
-and the grid of topologies/seeds to run it on; :func:`run_experiment`
-executes the grid and aggregates per-cell statistics (success rate, message
+:class:`ExperimentSpec` names an algorithm (a
+:class:`~repro.protocols.spec.ProtocolSpec`, optionally under a fault
+adversary) and the grid of topologies/seeds to run it on;
+:func:`run_experiment` executes the grid and aggregates per-cell statistics (success rate, message
 and round means) into :class:`ExperimentCell` records that the reporting
 layer turns into Table 1-style tables or scaling series.
 
@@ -12,13 +12,12 @@ The result path is *streaming* (see :mod:`repro.analysis.streaming`):
 each run is folded into its cell's exact accumulators the moment it
 completes and then released, so neither the serial driver here nor the
 parallel engine (:mod:`repro.parallel`) retains the full run list.
-``keep_results=True`` opts back into retention via a composing
-:class:`~repro.analysis.streaming.CollectingSink`.
+Pass ``sinks=[CollectingSink()]`` (see
+:class:`~repro.analysis.streaming.CollectingSink`) to retain the runs.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -42,7 +41,6 @@ from ..graphs.topology import Topology
 from .streaming import (
     CellAggregate,
     CellAggregatingSink,
-    CollectingSink,
     ResultSink,
     abort_sinks,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentCell",
     "ExperimentResult",
-    "aggregate_cell",
     "cell_from_aggregate",
     "effective_runner",
     "execute_run",
@@ -68,29 +65,17 @@ __all__ = [
 ElectionRunner = Callable[[Topology, int], LeaderElectionResult]
 
 
-def warn_keep_results(stacklevel: int = 2) -> None:
-    """Emit the ``keep_results=True`` deprecation (shared by both drivers)."""
-    warnings.warn(
-        "keep_results=True is deprecated; compose a CollectingSink "
-        "(sinks=[CollectingSink()], see repro.analysis.streaming) to "
-        "retain per-run results explicitly",
-        DeprecationWarning,
-        stacklevel=stacklevel + 1,
-    )
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A named sweep of one algorithm over topologies and seeds.
 
-    The algorithm is either a ``runner`` callable (the legacy shape:
-    ``runner(topology, seed) -> LeaderElectionResult``) or a declarative
-    ``protocol`` (a :class:`~repro.protocols.spec.ProtocolSpec`, or its
-    string spelling ``"name:k=v,..."`` which is parsed and validated
-    here).  Exactly one of the two must be set; with ``protocol`` the
-    spec's configuration token becomes part of the checkpoint task keys,
-    so parameter sweeps resume/shard/merge without ever mixing runs
-    measured under different constants.
+    The algorithm is the ``protocol``: a
+    :class:`~repro.protocols.spec.ProtocolSpec`, or its string spelling
+    ``"name:k=v,..."`` which is parsed and validated here.  Its
+    configuration token becomes part of the checkpoint task keys, the
+    JSONL ``protocol`` field and the cells' ``protocol`` column, so
+    parameter sweeps resume/shard/merge without ever mixing runs measured
+    under different constants.
 
     ``adversary`` adds the execution-model grid axis: when set (an
     :class:`~repro.dynamics.spec.AdversarySpec`), every run executes under
@@ -99,66 +84,32 @@ class ExperimentSpec:
     """
 
     name: str
-    runner: Optional[ElectionRunner] = None
+    protocol: "ProtocolSpec"
     topologies: Sequence[Topology] = ()
     seeds: Sequence[int] = (0, 1, 2)
     collect_profile: bool = True
     adversary: Optional["AdversarySpec"] = None
-    protocol: Optional["ProtocolSpec"] = None
 
     def __post_init__(self) -> None:
         if isinstance(self.protocol, str):
             from ..protocols.spec import ProtocolSpec
 
             object.__setattr__(self, "protocol", ProtocolSpec.parse(self.protocol))
-        if self.runner is None and self.protocol is None:
-            raise ConfigurationError(
-                "an experiment needs an algorithm: pass runner=... or protocol=..."
-            )
-        if self.runner is not None and self.protocol is not None:
-            raise ConfigurationError(
-                "pass either runner= or protocol=, not both (the protocol "
-                "spec decides the runner)"
-            )
-        if self.runner is not None:
-            warnings.warn(
-                "ExperimentSpec(runner=...) is deprecated; pass "
-                "protocol=... (a ProtocolSpec or 'name:k=v,...' string) "
-                "so the configuration is validated against the protocol's "
-                "schema and enters checkpoint/archive task keys",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         if not self.topologies:
             raise ConfigurationError("an experiment needs at least one topology")
         if not self.seeds:
             raise ConfigurationError("an experiment needs at least one seed")
 
-    def protocol_token(self) -> str:
-        """The spec's protocol-configuration token ("" for legacy runners)."""
-        return self.protocol.token() if self.protocol is not None else ""
-
 
 def effective_runner(spec: ExperimentSpec) -> ElectionRunner:
     """The runner actually executed for ``spec``'s runs.
 
-    Resolves a declarative protocol spec to its
-    :class:`~repro.protocols.runners.ProtocolRunner`, then wraps the base
-    runner in an adversarial fault scope when the spec carries an
-    adversary; both the serial driver and the parallel engine's task
-    expansion funnel through here, so the two backends run cells
-    identically.
+    Both the serial driver and the parallel engine's task expansion
+    funnel through here, so the two backends run cells identically.
     """
-    base = spec.runner
-    if base is None:
-        from ..protocols.runners import ProtocolRunner
+    from ..protocols.runners import ProtocolRunner
 
-        base = ProtocolRunner(spec.protocol)
-    if spec.adversary is None:
-        return base
-    from ..dynamics.runners import AdversarialRunner
-
-    return AdversarialRunner(base, spec.adversary)
+    return ProtocolRunner(spec.protocol, spec.adversary)
 
 
 @dataclass
@@ -185,15 +136,14 @@ class ExperimentCell:
     max_messages: int = 0
     min_rounds: int = 0
     max_rounds: int = 0
-    #: The protocol-configuration token of the spec that produced the cell
-    #: ("" for legacy runner-callable specs at default configuration), so
-    #: parameter-sweep cells stay tellable apart in reports and exports.
+    #: The protocol-configuration token of the spec that produced the cell,
+    #: so parameter-sweep cells stay tellable apart in reports and exports
+    #: ("" only for hand-built cells).
     protocol: str = ""
     #: Streaming safety verdicts of the cell's runs (never ``None`` for
     #: cells built by the drivers; kept optional for hand-built cells).
     safety: Optional[SafetyTally] = None
     profile: Optional[ExpansionProfile] = None
-    results: List[LeaderElectionResult] = field(default_factory=list)
 
     @property
     def success_rate(self) -> float:
@@ -291,9 +241,8 @@ def cell_from_aggregate(
     topology: Topology,
     aggregate: CellAggregate,
     *,
-    profile: Optional[ExpansionProfile] = None,
-    results: Optional[List[LeaderElectionResult]] = None,
-    protocol: str = "",
+    profile: Optional[ExpansionProfile],
+    protocol: str,
 ) -> ExperimentCell:
     """Assemble an :class:`ExperimentCell` from a streamed cell aggregate.
 
@@ -327,32 +276,6 @@ def cell_from_aggregate(
         protocol=protocol,
         safety=aggregate.safety,
         profile=profile,
-        results=list(results) if results is not None else [],
-    )
-
-
-def aggregate_cell(
-    topology: Topology,
-    runs: Sequence[LeaderElectionResult],
-    wall_clock: Sequence[float],
-    *,
-    profile: Optional[ExpansionProfile] = None,
-    keep_results: bool = False,
-) -> ExperimentCell:
-    """Aggregate the per-seed runs of one (algorithm, topology) cell.
-
-    Compatibility wrapper over the streaming aggregation path for callers
-    that already hold a run list; the drivers themselves fold runs into
-    :class:`~repro.analysis.streaming.CellAggregate` as they complete.
-    """
-    aggregate = CellAggregate()
-    for run, elapsed in zip(runs, wall_clock):
-        aggregate.add(run, elapsed)
-    return cell_from_aggregate(
-        topology,
-        aggregate,
-        profile=profile,
-        results=list(runs) if keep_results else None,
     )
 
 
@@ -384,7 +307,6 @@ def run_experiment(
     spec: ExperimentSpec,
     *,
     profiles: Optional[Dict[str, ExpansionProfile]] = None,
-    keep_results: bool = False,
     workers: Optional[int] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     checkpoint_compact: bool = False,
@@ -414,10 +336,10 @@ def run_experiment(
 
     Runs are streamed: each result is folded into its cell's aggregate
     (and forwarded to any caller-supplied ``sinks``) as it completes, then
-    released.  ``keep_results=True`` composes a
-    :class:`~repro.analysis.streaming.CollectingSink` to retain the full
-    per-run results on the cells — opt-in, since that is the one path
-    whose memory grows with ``runs × nodes``.
+    released.  To retain the per-run results, pass a
+    :class:`~repro.analysis.streaming.CollectingSink` in ``sinks`` and
+    read them back with its ``results_for`` — opt-in, since that is the
+    one path whose memory grows with ``runs × nodes``.
 
     ``backend`` selects the simulator core for every run of the sweep
     (``"auto"``, ``"round"`` or ``"event"`` — see
@@ -440,8 +362,6 @@ def run_experiment(
     default, ``"static"`` for the one-task-per-message baseline.  They
     only apply when execution routes through the pool.
     """
-    if keep_results:
-        warn_keep_results()
     if (
         (workers is not None and workers > 1)
         or checkpoint is not None
@@ -456,7 +376,6 @@ def run_experiment(
             checkpoint_compact=checkpoint_compact,
             start_method=start_method,
             profiles=profiles,
-            keep_results=keep_results,
             sinks=sinks,
             backend=backend,
             telemetry=telemetry,
@@ -470,11 +389,7 @@ def run_experiment(
             "the telemetry summary (pass telemetry=TelemetrySink(path))"
         )
     aggregates = CellAggregatingSink()
-    collector = CollectingSink() if keep_results else None
-    all_sinks: List[ResultSink] = [aggregates]
-    if collector is not None:
-        all_sinks.append(collector)
-    all_sinks.extend(sinks)
+    all_sinks: List[ResultSink] = [aggregates, *sinks]
 
     result = ExperimentResult(name=spec.name)
     profiles = dict(profiles or {})
@@ -497,12 +412,7 @@ def run_experiment(
                         profile=resolve_profile(
                             topology, profiles, spec.collect_profile
                         ),
-                        results=(
-                            collector.results_for(spec.name, topology_index)
-                            if collector is not None
-                            else None
-                        ),
-                        protocol=spec.protocol_token(),
+                        protocol=spec.protocol.token(),
                     )
                 )
     except BaseException:

@@ -88,6 +88,7 @@ class SweepConfig:
     base_seed: Optional[int] = None
     task_timeout: Optional[float] = None
     max_batch: Optional[int] = None
+    #: work-stealing lease expiry; only ``shard=(AUTO_SHARD, blocks)`` takes it
     lease_timeout: Optional[float] = None
     #: pre-computed expansion profiles, keyed by topology name/fingerprint
     profiles: Optional[Dict[str, object]] = None
@@ -280,7 +281,7 @@ def run(
     fault model (same spellings as the CLI's ``--adversary``).
     """
     from .core.simulator import backend_scope
-    from .protocols import ProtocolSpec, protocol_runner
+    from .protocols import ProtocolRunner, ProtocolSpec
 
     if isinstance(topology, str):
         from .cli import parse_topology
@@ -291,12 +292,7 @@ def run(
         if isinstance(algorithm, str)
         else algorithm
     )
-    runner = protocol_runner(spec)
-    adversary_spec = _resolve_adversary(adversary, adversary_params)
-    if adversary_spec is not None:
-        from .dynamics.runners import AdversarialRunner
-
-        runner = AdversarialRunner(runner, adversary_spec)
+    runner = ProtocolRunner(spec, _resolve_adversary(adversary, adversary_params))
     with backend_scope(backend):
         return runner(topology, seed)
 

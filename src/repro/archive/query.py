@@ -35,8 +35,8 @@ from .store import ResultArchive
 __all__ = ["RESERVED_KWARGS", "QueryReport", "QueryResult", "query_experiments"]
 
 #: ``run_experiments`` knobs a query refuses: it reads from and writes
-#: back to the archive, so checkpointing, sharding, leases and retention
-#: belong to the sweeps that populate it.  The ``repro.api`` facade
+#: back to the archive, so checkpointing, sharding and leases belong to
+#: the sweeps that populate it.  The ``repro.api`` facade
 #: derives its own check from this tuple.
 RESERVED_KWARGS = (
     "checkpoint",
@@ -44,7 +44,6 @@ RESERVED_KWARGS = (
     "checkpoint_flush_interval",
     "shard",
     "lease_timeout",
-    "keep_results",
 )
 
 

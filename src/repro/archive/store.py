@@ -77,8 +77,10 @@ def parse_task_key(key: str) -> TaskCoordinates:
 
     The key format (see :func:`repro.parallel.sharding.task_key`) is
     ``spec|topology_index|topology_name|fingerprint|seed_index|seed|``
-    ``adversary`` with ``|protocol`` appended only when the spec carries a
-    protocol token — 7 or 8 segments, none of which contain ``|``.
+    ``adversary|protocol`` — 8 segments, none of which contain ``|``.
+    Archives written before every spec carried a protocol token also
+    hold 7-segment keys (no ``|protocol``); they parse with an empty
+    protocol, and no current sweep asks for them.
     """
     parts = key.split("|")
     if len(parts) == 7:

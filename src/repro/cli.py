@@ -58,10 +58,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .analysis import render_kv, render_table
-from .analysis.runners import RUNNERS
 from .core.errors import ReproError
 from .election.explicit import extend_to_explicit
 from .graphs import Topology, expansion_profile
@@ -70,11 +69,6 @@ from .impossibility import demonstrate_impossibility
 from .protocols import ProtocolSpec, describe_protocols
 
 __all__ = ["main", "parse_topology", "build_parser"]
-
-#: Legacy name -> default-configuration runner registry (kept for
-#: programmatic users; the CLI itself now resolves ``--algorithm``
-#: strings through :mod:`repro.protocols`, which accepts parameters).
-ELECTION_RUNNERS: Dict[str, Callable[..., object]] = RUNNERS
 
 
 def parse_topology(spec: str, *, seed: Optional[int] = None) -> Topology:
@@ -184,6 +178,8 @@ def _cmd_elect(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from .api import run as run_election
 
+    if args.seeds < 1:
+        raise ReproError(f"--seeds must be >= 1, got {args.seeds}")
     topology = parse_topology(args.topology, seed=args.topology_seed)
     rows: List[dict] = []
     for name in args.algorithms:

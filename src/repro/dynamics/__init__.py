@@ -12,13 +12,12 @@ robustness-analysis system over a family of them:
 * :mod:`~repro.dynamics.spec` — picklable :class:`AdversarySpec` grid
   values plus the :data:`ADVERSARIES` registry behind
   ``repro-le sweep --adversary``;
-* :mod:`~repro.dynamics.runners` — :class:`AdversarialRunner`, wrapping
-  any election runner in a fault scope;
 * :mod:`~repro.dynamics.sweeps` — (algorithm × adversary) robustness
   grids as ordinary experiment specs.
 
-The simulator-side hook lives in :mod:`repro.core.faults`; dropped and
-delayed messages surface as first-class
+The simulator-side hook lives in :mod:`repro.core.faults`, and a run
+enters it through :class:`~repro.protocols.runners.ProtocolRunner`'s
+``adversary``; dropped and delayed messages surface as first-class
 :class:`~repro.core.metrics.Metrics` counters and as trace events, and
 adversarial runs flow through the parallel engine and its checkpoints
 bit-identically to serial execution (``tests/test_dynamics.py``).
@@ -33,7 +32,6 @@ from .adversaries import (
     MessageLossAdversary,
     SeededAdversary,
 )
-from .runners import AdversarialRunner, run_with_adversary
 from .spec import (
     ADVERSARIES,
     AdversarySpec,
@@ -47,7 +45,6 @@ from .sweeps import adversary_grid, composed_spec, robustness_specs
 __all__ = [
     "ADVERSARIES",
     "AdversarySpec",
-    "AdversarialRunner",
     "AsynchronyAdversary",
     "ComposedAdversary",
     "CrashStopAdversary",
@@ -61,6 +58,5 @@ __all__ = [
     "make_adversary",
     "parse_adversary_params",
     "robustness_specs",
-    "run_with_adversary",
     "spec_from_cli",
 ]

@@ -49,9 +49,11 @@ Determinism guarantees
 * **Profile consistency.**  Expansion profiles are computed in the parent
   with the same cache-and-compute-on-demand policy as the serial driver.
 
-Workers receive their tasks by pickling, so spec runners must be
-importable module-level callables (see :mod:`repro.analysis.runners`);
-lambdas and closures only work with the in-process backend.
+Workers receive their tasks by pickling: every task carries a
+:class:`~repro.protocols.runners.ProtocolRunner`, which captures its
+protocol's registry entry, so a custom protocol's factory must be an
+importable module-level callable (lambdas and closures only work with
+the in-process backend).
 """
 
 from __future__ import annotations
@@ -68,11 +70,9 @@ from ..analysis.experiments import (
     ExperimentSpec,
     cell_from_aggregate,
     resolve_profile,
-    warn_keep_results,
 )
 from ..analysis.streaming import (
     CellAggregatingSink,
-    CollectingSink,
     ResultSink,
     abort_sinks,
 )
@@ -328,7 +328,6 @@ def run_parallel_experiment(
     checkpoint_compact: bool = False,
     start_method: Optional[str] = None,
     profiles: Optional[Dict[str, ExpansionProfile]] = None,
-    keep_results: bool = False,
     derive_seeds: bool = False,
     base_seed: Optional[int] = None,
     shard=None,
@@ -350,7 +349,6 @@ def run_parallel_experiment(
         checkpoint_compact=checkpoint_compact,
         start_method=start_method,
         profiles=profiles,
-        keep_results=keep_results,
         derive_seeds=derive_seeds,
         base_seed=base_seed,
         shard=shard,
@@ -374,7 +372,6 @@ def run_experiments(
     checkpoint_compact: bool = False,
     start_method: Optional[str] = None,
     profiles: Optional[Dict[str, ExpansionProfile]] = None,
-    keep_results: bool = False,
     derive_seeds: bool = False,
     base_seed: Optional[int] = None,
     shard=None,
@@ -439,17 +436,16 @@ def run_experiments(
     and any number of concurrent jobs sharing the checkpoint directory
     claim blocks from a lease directory (``<base>.leases/``) until the
     grid is covered — fast jobs claim more, and a block whose owner died
-    (no lease heartbeat for ``lease_timeout`` seconds) is stolen and
-    re-executed.  Each block checkpoints to its own shard file named by
+    (no lease heartbeat for ``lease_timeout`` seconds, a knob only this
+    mode accepts) is stolen and re-executed.  Each block checkpoints to its own shard file named by
     the same manifest ``merge`` already understands.  The returned
     results contain only the cells whose blocks *this* job executed.
 
-    ``keep_results`` composes a
-    :class:`~repro.analysis.streaming.CollectingSink` that retains every
-    run on its cell (the one opt-in path whose memory grows with the
-    grid); ``sinks`` are additional caller-supplied
+    ``sinks`` are caller-supplied
     :class:`~repro.analysis.streaming.ResultSink` objects fed each run —
-    fresh or restored from a checkpoint — as it completes.
+    fresh or restored from a checkpoint — as it completes; a
+    :class:`~repro.analysis.streaming.CollectingSink` among them retains
+    every run (the one opt-in path whose memory grows with the grid).
 
     ``backend`` selects the simulator core (``"auto"``, ``"round"`` or
     ``"event"`` — see :class:`repro.core.simulator.SynchronousSimulator`)
@@ -472,8 +468,6 @@ def run_experiments(
     under an in-worker profiler and reports pool-wide hotspots through
     the telemetry summary.
     """
-    if keep_results:
-        warn_keep_results()
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     if backend not in BACKENDS:
@@ -537,6 +531,11 @@ def run_experiments(
                 "a sharded sweep requires a checkpoint: shard results must "
                 "be persisted to be merged (pass checkpoint=/--checkpoint)"
             )
+    if lease_timeout is not None and not auto_shard:
+        raise ConfigurationError(
+            "lease_timeout= requires shard='auto': only work-stealing "
+            "jobs hold block leases"
+        )
 
     per_spec_tasks: List[List[RunTask]] = [
         expand_run_tasks(spec, derive_seeds=derive_seeds, base_seed=base_seed)
@@ -598,11 +597,7 @@ def run_experiments(
             store = make_store(checkpoint)
 
     aggregates = CellAggregatingSink()
-    collector = CollectingSink() if keep_results else None
-    all_sinks: List[ResultSink] = [aggregates]
-    if collector is not None:
-        all_sinks.append(collector)
-    all_sinks.extend(sinks)
+    all_sinks: List[ResultSink] = [aggregates, *sinks]
     if telemetry is not None:
         # Last in the fan-out so its (no-op) emit never delays real sinks;
         # close/abort lifecycle is shared with every other sink.
@@ -639,7 +634,6 @@ def run_experiments(
             sharded=shard is not None,
             profiles=profiles,
             aggregates=aggregates,
-            collector=collector,
             backend=backend,
             telemetry=telemetry,
             profile=profile,
@@ -709,7 +703,6 @@ def _execute_and_assemble(
     sharded,
     profiles,
     aggregates,
-    collector,
     backend,
     telemetry,
     profile,
@@ -845,12 +838,7 @@ def _execute_and_assemble(
                     topology,
                     aggregate,
                     profile=resolve_profile(topology, profiles, spec.collect_profile),
-                    results=(
-                        collector.results_for(spec.name, topology_index)
-                        if collector is not None
-                        else None
-                    ),
-                    protocol=spec.protocol_token(),
+                    protocol=spec.protocol.token(),
                 )
             )
         results.append(experiment)

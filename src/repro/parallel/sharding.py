@@ -70,11 +70,11 @@ class RunTask:
     fingerprint: str
     #: stable token of the spec's adversary model ("" without one); part of
     #: the task identity so checkpoints never mix execution models.
-    adversary: str = ""
-    #: stable token of the spec's protocol configuration ("" for legacy
-    #: runner-callable specs); part of the task identity so checkpoints
-    #: never mix runs measured under different protocol constants.
-    protocol: str = ""
+    adversary: str
+    #: stable token of the spec's protocol configuration; part of the task
+    #: identity so checkpoints never mix runs measured under different
+    #: protocol constants.
+    protocol: str
 
     @property
     def key(self) -> str:
@@ -107,8 +107,8 @@ def task_key(
     fingerprint: str,
     seed_index: int,
     seed: int,
-    adversary: str = "",
-    protocol: str = "",
+    adversary: str,
+    protocol: str,
 ) -> str:
     """Stable checkpoint identity of one run inside an experiment grid.
 
@@ -123,19 +123,17 @@ def task_key(
     reason: a robustness sweep resumed with a different fault model must
     re-run, not replay.
 
-    ``protocol`` (the spec's protocol-configuration token, "" for legacy
-    runner-callable specs) keys the protocol constants the run was
-    measured under.  It is appended as an extra segment *only when set*,
-    so checkpoints written before protocol specs existed keep their task
-    keys and still resume.
+    ``protocol`` (the spec's protocol-configuration token, e.g.
+    ``"flooding"`` or ``"irrevocable:c=3.0"``) keys the protocol constants
+    the run was measured under, so every key has 8 segments.  Keys
+    written before every spec carried a protocol (7 segments, built-in
+    bare names) match no task: those runs re-simulate once rather than
+    replay under a key that does not name their configuration.
     """
-    key = (
+    return (
         f"{spec_name}|{topology_index}|{topology_name}|{fingerprint}"
-        f"|{seed_index}|{seed}|{adversary}"
+        f"|{seed_index}|{seed}|{adversary}|{protocol}"
     )
-    if protocol:
-        key += f"|{protocol}"
-    return key
 
 
 def derive_cell_seed(
@@ -180,7 +178,7 @@ def expand_run_tasks(
     tasks: List[RunTask] = []
     runner = effective_runner(spec)
     adversary = spec.adversary.token() if spec.adversary is not None else ""
-    protocol = spec.protocol_token()
+    protocol = spec.protocol.token()
     for topology_index, topology in enumerate(spec.topologies):
         fingerprint = topology_fingerprint(topology)
         for seed_index, seed in enumerate(spec.seeds):

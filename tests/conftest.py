@@ -61,3 +61,26 @@ def small_expander() -> Topology:
 @pytest.fixture
 def medium_expander() -> Topology:
     return random_regular(32, 4, seed=5)
+
+
+@pytest.fixture
+def custom_protocol():
+    """Register test-only protocols for one test; unregister them after.
+
+    ``custom_protocol(name, factory)`` registers ``factory(topology,
+    seed)`` under ``name`` and returns the name, ready for
+    ``ExperimentSpec(protocol=...)``.  Factories that pool workers run
+    must be module-level functions, so they pickle by reference.
+    """
+    from repro.protocols import PROTOCOLS, register_protocol
+
+    names = []
+
+    def register(name, factory):
+        register_protocol(name, factory)
+        names.append(name)
+        return name
+
+    yield register
+    for name in names:
+        PROTOCOLS.pop(name, None)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import ConfigurationError
 from repro.analysis import (
+    CollectingSink,
     ExperimentSpec,
     render_comparison_table,
     render_kv,
@@ -18,17 +19,13 @@ from repro.baselines import run_flooding_election
 from repro.graphs import cycle, star
 
 
-def flooding_runner(topology, seed):
-    return run_flooding_election(topology, seed=seed)
-
-
 class TestExperimentSpec:
     def test_requires_topologies_and_seeds(self):
         with pytest.raises(ConfigurationError):
-            ExperimentSpec(name="x", runner=flooding_runner, topologies=[], seeds=(1,))
+            ExperimentSpec(name="x", protocol="flooding", topologies=[], seeds=(1,))
         with pytest.raises(ConfigurationError):
             ExperimentSpec(
-                name="x", runner=flooding_runner, topologies=[cycle(4)], seeds=()
+                name="x", protocol="flooding", topologies=[cycle(4)], seeds=()
             )
 
 
@@ -36,7 +33,7 @@ class TestRunExperiment:
     def test_cells_aggregate_per_topology(self):
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8), star(8)],
             seeds=(0, 1, 2),
             collect_profile=False,
@@ -51,7 +48,7 @@ class TestRunExperiment:
     def test_profiles_attached_when_requested(self):
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8)],
             seeds=(0,),
             collect_profile=True,
@@ -70,7 +67,7 @@ class TestRunExperiment:
         assert a.name == b.name
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[a, b],
             seeds=(0,),
             collect_profile=True,
@@ -89,7 +86,7 @@ class TestRunExperiment:
         profile = expansion_profile(topology)
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[topology],
             seeds=(0,),
         )
@@ -99,7 +96,7 @@ class TestRunExperiment:
     def test_series_extraction_sorted_by_x(self):
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(16), cycle(8)],
             seeds=(0,),
             collect_profile=False,
@@ -108,21 +105,25 @@ class TestRunExperiment:
         series = result.series(x_field="n", y_field="mean_messages")
         assert [x for x, _ in series] == [8, 16]
 
-    def test_keep_results_stores_individual_runs(self):
+    def test_collecting_sink_stores_individual_runs(self):
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8)],
             seeds=(0, 1),
             collect_profile=False,
         )
-        result = run_experiment(spec, keep_results=True)
-        assert len(result.cells[0].results) == 2
+        collector = CollectingSink()
+        run_experiment(spec, sinks=[collector])
+        runs = collector.results_for("flooding", 0)
+        assert [run.seed for run in runs] == [0, 1]
+        assert runs[0].messages == run_flooding_election(cycle(8), seed=0).messages
+        assert runs[0].parameters["protocol"] == "flooding"
 
     def test_overall_success_rate_and_rows(self):
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8)],
             seeds=(0, 1),
             collect_profile=False,
@@ -136,7 +137,7 @@ class TestRunExperiment:
     def test_missing_cell_raises(self):
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8)],
             seeds=(0,),
             collect_profile=False,

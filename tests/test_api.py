@@ -1,10 +1,11 @@
-"""Tests for the ``repro.api`` facade, deprecations, and CLI exit codes.
+"""Tests for the ``repro.api`` facade, a warning-free sweep path, and
+CLI exit codes.
 
 Covers the redesigned entry points (``run`` / ``sweep`` / ``query`` /
-``plan_sweep`` / ``SweepConfig``), the deprecation of the two legacy
-spellings (``ExperimentSpec(runner=...)`` and ``keep_results=True``),
-and the 0/1/2 exit-code contract shared by ``merge`` / ``stats`` /
-``archive stats`` (0 clean, 1 findings/partial, 2 usage or error).
+``plan_sweep`` / ``SweepConfig``), that planning and running a sweep
+emits no ``DeprecationWarning``, and the 0/1/2 exit-code contract shared
+by ``merge`` / ``stats`` / ``archive stats`` (0 clean, 1
+findings/partial, 2 usage or error).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import warnings
 import pytest
 
 from repro import api
-from repro.analysis.experiments import ExperimentSpec, run_experiment
 from repro.cli import main
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, path
@@ -46,14 +46,10 @@ def strip_wall_clock(results):
 class TestSweepConfig:
     def test_runner_kwargs_cover_run_experiments_signature(self):
         # drift guard: every run_experiments knob except the per-call ones
-        # (specs, sinks) and the deprecated keep_results flows through the
-        # config object — a new runner kwarg must be added here too
+        # (specs, sinks) flows through the config object — a new runner
+        # kwarg must be added here too
         signature = inspect.signature(run_experiments)
-        runner_knobs = set(signature.parameters) - {
-            "specs",
-            "sinks",
-            "keep_results",
-        }
+        runner_knobs = set(signature.parameters) - {"specs", "sinks"}
         assert set(api.SweepConfig().runner_kwargs()) == runner_knobs
 
     def test_defaults_are_valid_and_frozen(self):
@@ -142,7 +138,7 @@ class TestRunFacade:
         assert one.as_dict() == two.as_dict()
         assert one.success
 
-    def test_run_with_adversary_string(self):
+    def test_run_under_adversary_string(self):
         from repro.dynamics.spec import spec_from_cli
 
         via_cli_spelling = api.run(
@@ -170,6 +166,20 @@ class TestSweepFacade:
             run_experiments(specs)
         )
 
+    def test_lease_timeout_requires_auto_shard(self, tmp_path):
+        specs = sweep_specs(
+            ["flooding"], [cycle(6)], seeds=(0,), collect_profile=False
+        )
+        for config in (
+            api.SweepConfig(lease_timeout=5.0),
+            api.SweepConfig(
+                lease_timeout=5.0, checkpoint=tmp_path / "ck.jsonl", shard=(0, 2)
+            ),
+        ):
+            with pytest.raises(ConfigurationError, match="lease_timeout.*auto"):
+                api.sweep(specs, config=config)
+        assert not (tmp_path / "ck.jsonl").exists()
+
     def test_sweep_honours_config_checkpoint(self, tmp_path):
         specs = sweep_specs(
             ["flooding"], [cycle(6)], seeds=(0,), collect_profile=False
@@ -185,29 +195,6 @@ class TestSweepFacade:
 
 
 class TestDeprecations:
-    def test_spec_runner_kwarg_warns(self):
-        def trivial_runner(topology, seed):  # pragma: no cover - never run
-            raise AssertionError
-
-        with pytest.warns(DeprecationWarning, match="runner=.*deprecated"):
-            ExperimentSpec(
-                name="legacy", runner=trivial_runner, topologies=(cycle(5),)
-            )
-
-    def test_keep_results_warns_in_run_experiment(self):
-        spec = sweep_specs(
-            ["flooding"], [cycle(5)], seeds=(0,), collect_profile=False
-        )[0]
-        with pytest.warns(DeprecationWarning, match="keep_results"):
-            run_experiment(spec, keep_results=True)
-
-    def test_keep_results_warns_in_run_experiments(self):
-        specs = sweep_specs(
-            ["flooding"], [cycle(5)], seeds=(0,), collect_profile=False
-        )
-        with pytest.warns(DeprecationWarning, match="CollectingSink"):
-            run_experiments(specs, keep_results=True)
-
     def test_builtin_sweep_specs_stay_quiet(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

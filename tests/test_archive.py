@@ -111,6 +111,10 @@ class TestResultArchiveStore:
             assert coords.seed_index == task.seed_index
             assert coords.seed == task.seed
             assert coords.fingerprint == task.fingerprint
+            assert coords.protocol == task.protocol == "flooding"
+        # Keys written before every spec carried a protocol token (7
+        # segments) are outside input that still parses.
+        assert parse_task_key("a|0|t|f|0|0|").protocol == ""
 
     def test_parse_task_key_rejects_malformed(self):
         with pytest.raises(ConfigurationError):
@@ -240,11 +244,8 @@ class TestArchiveSink:
         record_source = JsonlCheckpointStore(tmp_path / "ck.jsonl")
         del record_source, results
         from repro.analysis.experiments import execute_run, effective_runner
-        import warnings
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            runner = effective_runner(specs[0])
+        runner = effective_runner(specs[0])
         run, elapsed = execute_run(runner, tasks[0].topology, tasks[0].seed)
         sink.emit(specs[0].name, 0, 0, run, elapsed)
         sink.abort()
@@ -258,6 +259,24 @@ class TestArchiveSink:
 
 
 class TestQueryEquivalence:
+    def test_pre_protocol_archive_keys_miss(self, tmp_path):
+        # An archive filled before bare built-in names keyed their protocol
+        # token holds 7-segment keys: a query simulates every run once.
+        db = tmp_path / "a.sqlite"
+        specs = small_specs()
+        populated = JsonlCheckpointStore(tmp_path / "ck.jsonl")
+        run_experiments(specs, checkpoint=populated)
+        old_records = {
+            key.rsplit("|", 1)[0]: record for key, record in populated.load().items()
+        }
+        with ResultArchive(db) as archive:
+            archive.add_records(old_records)
+        answer = query_experiments(specs, archive=db)
+        assert answer.report.archived_runs == 0
+        assert answer.report.simulated_runs == answer.report.requested_runs == 4
+        assert query_experiments(specs, archive=db).report.simulated_runs == 0
+        assert stripped_cells(answer.results) == stripped_cells(run_experiments(specs))
+
     def test_cold_then_warm_query_matches_direct_sweep(self, tmp_path):
         db = tmp_path / "a.sqlite"
         specs = small_specs()
@@ -389,7 +408,6 @@ class TestQueryEquivalence:
             "checkpoint_flush_interval",
             "shard",
             "lease_timeout",
-            "keep_results",
         ):
             with pytest.raises(ConfigurationError, match="does not accept"):
                 query_experiments(

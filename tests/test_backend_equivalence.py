@@ -22,7 +22,6 @@ import random
 import pytest
 
 from repro.analysis import ExperimentSpec, run_experiment
-from repro.analysis.runners import flooding_runner, irrevocable_runner
 from repro.core import (
     BACKENDS,
     Message,
@@ -39,6 +38,7 @@ from repro.dynamics import AdversarySpec, make_adversary, robustness_specs
 from repro.election import run_irrevocable_election
 from repro.graphs import cycle, grid_2d, random_regular, star
 from repro.parallel import expand_run_tasks, run_experiments
+from repro.protocols import protocol_runner
 from repro.workloads import dynamic_scenario
 
 ADVERSARY_GRID = [
@@ -112,7 +112,7 @@ def _comparable(cells):
 def _flooding_spec(adversary=None, name="flooding-backend-eq"):
     return ExperimentSpec(
         name=name,
-        runner=flooding_runner,
+        protocol="flooding",
         topologies=[cycle(8), star(8), grid_2d(3, 3)],
         seeds=(0, 1, 2),
         collect_profile=False,
@@ -147,6 +147,7 @@ class TestSimulatorCoreEquivalence:
         )
 
     def test_irrevocable_runner_matches_across_backends(self):
+        irrevocable_runner = protocol_runner("irrevocable")
         with backend_scope("round"):
             reference = irrevocable_runner(cycle(8), 1).as_dict()
         with backend_scope("event"):

@@ -16,22 +16,26 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import ExperimentSpec, run_experiment
-from repro.analysis.runners import flooding_runner
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, star
 from repro.parallel import (
     JsonlCheckpointStore,
     expand_run_tasks,
     result_to_record,
+    run_experiments,
 )
+from repro.protocols import protocol_runner
+from repro.workloads import sweep_specs
 
 SEEDS = (0, 1, 2)
 
+flooding_runner = protocol_runner("flooding")
 
-def _spec(seeds=SEEDS, runner=flooding_runner, name="flooding"):
+
+def _spec(seeds=SEEDS, protocol="flooding", name="flooding"):
     return ExperimentSpec(
         name=name,
-        runner=runner,
+        protocol=protocol,
         topologies=[cycle(8), star(8)],
         seeds=seeds,
         collect_profile=False,
@@ -151,7 +155,7 @@ class TestLegacyTransparency:
         assert JsonlCheckpointStore(path).load() == {**records, "key-2": extra}
 
     def test_legacy_resume_executes_only_missing_runs(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, custom_protocol
     ):
         """The satellite pin: a legacy-JSON checkpoint resumes through the
         JSONL default with zero re-execution, and the results are
@@ -159,11 +163,12 @@ class TestLegacyTransparency:
         count_file = tmp_path / "runs.log"
         monkeypatch.setenv("REPRO_STORE_COUNT_FILE", str(count_file))
         checkpoint = tmp_path / "ck.json"
-        serial = run_experiment(_spec(name="counted", runner=_counted_runner))
+        counted = custom_protocol("counted", _counted_runner)
+        serial = run_experiment(_spec(name="counted", protocol=counted))
         count_file.write_text("")
 
         # An interrupted sweep left a legacy checkpoint: 2 of 3 seeds done.
-        interrupted = _spec(seeds=(0, 1), name="counted", runner=_counted_runner)
+        interrupted = _spec(seeds=(0, 1), name="counted", protocol=counted)
         _write_legacy(
             checkpoint,
             {
@@ -177,7 +182,7 @@ class TestLegacyTransparency:
         # Resume through the JSONL store: only the 2 missing runs execute,
         # the file migrates, and the cells match the serial sweep exactly.
         resumed = run_experiment(
-            _spec(name="counted", runner=_counted_runner),
+            _spec(name="counted", protocol=counted),
             workers=2,
             checkpoint=checkpoint,
         )
@@ -190,12 +195,45 @@ class TestLegacyTransparency:
         # checkpoint is byte-identical afterwards.
         before = checkpoint.read_bytes()
         replayed = run_experiment(
-            _spec(name="counted", runner=_counted_runner),
+            _spec(name="counted", protocol=counted),
             checkpoint=checkpoint,
         )
         assert len(count_file.read_text().splitlines()) == 2
         assert _comparable(replayed.cells) == _comparable(serial.cells)
         assert checkpoint.read_bytes() == before
+
+    def test_pre_protocol_task_keys_resimulate(self, tmp_path):
+        """Checkpoints from before bare built-in names keyed their protocol
+        token hold 7-segment keys: every run re-simulates, none replays."""
+        checkpoint = tmp_path / "ck.json"
+        specs = sweep_specs(
+            ["flooding", "uniform"],
+            [cycle(8), star(8)],
+            seeds=SEEDS,
+            collect_profile=False,
+        )
+        tasks = [task for spec in specs for task in expand_run_tasks(spec)]
+        store = JsonlCheckpointStore(checkpoint, flush_interval_seconds=0.0)
+        for task in tasks:
+            old_key, token = task.key.rsplit("|", 1)
+            assert token == task.spec_name and old_key.count("|") == 6
+            record = result_to_record(task.runner(task.topology, task.seed), 0.1)
+            record["metrics"]["messages"] += 1000  # a replay would show
+            store.add(old_key, record)
+        store.flush()
+
+        resumed = run_experiments(specs, checkpoint=checkpoint)
+        fresh = run_experiments(specs)
+        assert [_comparable(r.cells) for r in resumed] == [
+            _comparable(r.cells) for r in fresh
+        ]
+        # Every run executed and persisted under its 8-segment key; the
+        # old records are left alone.
+        stored = JsonlCheckpointStore(checkpoint).load()
+        assert len(stored) == 2 * len(tasks)
+        assert {key for key in stored if key.count("|") == 7} == {
+            task.key for task in tasks
+        }
 
 
 class TestCorruptionTolerance:

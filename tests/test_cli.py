@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import ELECTION_RUNNERS, build_parser, main, parse_topology
+from repro.cli import build_parser, main, parse_topology
 from repro.core.errors import ReproError
 
 
@@ -42,11 +42,6 @@ class TestParser:
         )
         assert args.algorithm == "flooding"
         assert args.seed == 5
-
-    def test_all_election_runners_are_exposed(self):
-        assert {"irrevocable", "revocable", "flooding", "gilbert", "uniform"} <= set(
-            ELECTION_RUNNERS
-        )
 
 
 class TestCommands:
@@ -168,6 +163,17 @@ class TestCommands:
         assert "comparison on cycle(n=10)" in out
         assert "flooding" in out and "uniform" in out
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_compare_rejects_non_positive_seeds(self, capsys, seeds):
+        # Zero seeds compare nothing: that is a usage error, not a success.
+        code = main(
+            ["compare", "--topology", "cycle:10", "--seeds", seeds]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--seeds must be >= 1" in captured.err
+        assert "no data" not in captured.out
+
     def test_sweep_serial(self, capsys):
         code = main(
             [
@@ -227,6 +233,16 @@ class TestCommands:
             for bad in ("0", "-2.5", "nan"):
                 assert main(base + [flag, bad]) == 2
                 assert name in capsys.readouterr().err
+
+    def test_sweep_rejects_lease_timeout_without_auto_shard(self, capsys, tmp_path):
+        # Only work-stealing jobs hold leases: elsewhere the flag would be
+        # silently ignored, so it is refused before any run.
+        base = ["sweep", "--suite", "tiny", "--algorithms", "flooding"]
+        checkpoint = str(tmp_path / "ck.jsonl")
+        for extra in ([], ["--checkpoint", checkpoint, "--shard", "0/2"]):
+            assert main(base + ["--lease-timeout", "5"] + extra) == 2
+            assert "requires shard='auto'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_derive_seeds(self, capsys):
         code = main(
@@ -291,9 +307,10 @@ class TestSweepDynamics:
         out = capsys.readouterr().out
         assert "flooding@skew(max_skew=3,p=0.1)" in out
         assert "robustness curves" in out
-        # The curve table has the baseline rung and every skew rung.
+        # The curve table has the baseline rung and every skew rung, each
+        # labelled with the sweep's protocol token.
         curve_lines = [
-            line for line in out.splitlines() if line.startswith("flooding-max-id")
+            line for line in out.splitlines() if line.startswith("flooding | skew")
         ]
         assert len(curve_lines) == 4
         assert code in (0, 1)

@@ -18,6 +18,7 @@ The contract under test:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import random
@@ -25,7 +26,6 @@ import random
 import pytest
 
 from repro.analysis import ExperimentSpec, effective_runner, run_experiment
-from repro.analysis.runners import flooding_runner, irrevocable_runner
 from repro.core import (
     DELIVER,
     DROP,
@@ -49,11 +49,11 @@ from repro.dynamics import (
     LinkChurnAdversary,
     MessageDelayAdversary,
     MessageLossAdversary,
+    adversary_factory,
     adversary_grid,
     make_adversary,
     parse_adversary_params,
     robustness_specs,
-    run_with_adversary,
 )
 from repro.election.base import safety_violations, summarize_safety
 from repro.graphs import (
@@ -67,9 +67,33 @@ from repro.graphs import (
     torus_2d,
 )
 from repro.parallel import expand_run_tasks
+from repro.protocols import ProtocolRunner, ProtocolSpec, protocol_runner
 from repro.workloads import DYNAMIC_SCENARIOS, dynamic_scenario
 
 WORKER_COUNTS = sorted({2, 4} | {int(os.environ.get("REPRO_TEST_WORKERS", 2))})
+
+flooding_runner = protocol_runner("flooding")
+
+
+def _faulty_run(protocol, topology, seed, adversary):
+    """One run of ``protocol`` (a spec string) under ``adversary``."""
+    return ProtocolRunner(ProtocolSpec.parse(protocol), adversary)(topology, seed)
+
+
+def _fault_scope_composition(spec, adversary, topology, seed):
+    """A fault-free runner inside a fault scope, adversary stamped after.
+
+    The composition ``ProtocolRunner(spec, adversary)`` replaced; it must
+    stay bit-identical to it, parameter order included.
+    """
+    with fault_scope(adversary_factory(adversary, seed)):
+        result = ProtocolRunner(spec)(topology, seed)
+    result.parameters = {**result.parameters, "adversary": adversary.as_dict()}
+    return result
+
+
+def _call(runner, topology, seed):
+    return runner(topology, seed)
 
 
 class Ping(Message):
@@ -487,7 +511,7 @@ ADVERSARY_GRID = [
 def _adversarial_spec(adversary, name="flooding-under-faults"):
     return ExperimentSpec(
         name=name,
-        runner=flooding_runner,
+        protocol="flooding",
         topologies=[cycle(8), star(8), grid_2d(3, 3)],
         seeds=(0, 1, 2),
         collect_profile=False,
@@ -506,15 +530,40 @@ class TestAdversarialSweepEquivalence:
 
     def test_adversarial_runs_are_repeatable(self):
         spec = AdversarySpec.create("loss", p=0.2)
-        a = run_with_adversary(flooding_runner, torus_2d(4, 4), 3, spec)
-        b = run_with_adversary(flooding_runner, torus_2d(4, 4), 3, spec)
+        a = _faulty_run("flooding", torus_2d(4, 4), 3, spec)
+        b = _faulty_run("flooding", torus_2d(4, 4), 3, spec)
         assert a.as_dict() == b.as_dict()
         assert a.parameters["adversary"] == spec.as_dict()
 
     def test_effective_runner_is_picklable(self):
         runner = effective_runner(_adversarial_spec(ADVERSARY_GRID[0]))
+        assert runner == ProtocolRunner(
+            ProtocolSpec.parse("flooding"), ADVERSARY_GRID[0]
+        )
         clone = pickle.loads(pickle.dumps(runner))
         assert clone(cycle(8), 0).as_dict() == runner(cycle(8), 0).as_dict()
+
+    def test_spawned_runner_matches_fault_scope_composition(self):
+        # Every fixture adversary, every fixture cell, executed in fresh
+        # spawn interpreters: bit-identical to the in-process composition.
+        spec = _adversarial_spec(None)
+        jobs = [
+            (ProtocolRunner(protocol, adversary), topology, seed)
+            for protocol in (spec.protocol, ProtocolSpec.parse("irrevocable:c=3"))
+            for adversary in ADVERSARY_GRID
+            for topology in spec.topologies[: 3 if protocol == spec.protocol else 1]
+            for seed in spec.seeds[: 3 if protocol == spec.protocol else 1]
+        ]
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            spawned = pool.starmap(_call, jobs)
+        for (runner, topology, seed), result in zip(jobs, spawned):
+            reference = _fault_scope_composition(
+                runner.spec, runner.adversary, topology, seed
+            )
+            assert result.as_dict() == reference.as_dict()
+            assert result.metrics.as_dict() == reference.metrics.as_dict()
+            assert result.node_results == reference.node_results
+            assert list(result.parameters)[-2:] == ["protocol", "adversary"]
 
     def test_adversary_changes_results(self):
         baseline = run_experiment(_adversarial_spec(None, name="plain"))
@@ -599,7 +648,7 @@ class TestSafetyUnderFaults:
     def test_irrevocable_never_elects_two_leaders_under_benign_loss(self, p):
         spec = AdversarySpec.create("loss", p=p)
         runs = [
-            run_with_adversary(irrevocable_runner, topology, seed, spec)
+            _faulty_run("irrevocable", topology, seed, spec)
             for topology in SAFETY_TOPOLOGIES
             for seed in range(5)
         ]
@@ -613,7 +662,7 @@ class TestSafetyUnderFaults:
         # below the largest candidate's announcements die and a second
         # candidate also keeps its flag up.  The helpers must report it.
         spec = AdversarySpec.create("loss", p=0.05)
-        run = run_with_adversary(flooding_runner, path(8), 3, spec)
+        run = _faulty_run("flooding", path(8), 3, spec)
         assert run.outcome.num_leaders == 2
         assert not run.outcome.safe
         summary = summarize_safety([run])
@@ -804,7 +853,7 @@ class TestComposedAdversary:
             "composed", models="loss+delay", **{"loss.p": 0.0, "delay.p": 0.0}
         )
         plain = flooding_runner(cycle(8), 3)
-        perturbed = run_with_adversary(flooding_runner, cycle(8), 3, spec)
+        perturbed = _faulty_run("flooding", cycle(8), 3, spec)
         assert perturbed.outcome.as_dict() == plain.outcome.as_dict()
         assert perturbed.metrics.dropped_messages == 0
         assert perturbed.metrics.delayed_messages == 0
@@ -815,7 +864,7 @@ class TestComposedAdversary:
             models="loss+delay",
             **{"loss.p": 0.2, "delay.p": 0.3, "delay.max_delay": 2},
         )
-        result = run_with_adversary(flooding_runner, torus_2d(4, 4), 1, spec)
+        result = _faulty_run("flooding", torus_2d(4, 4), 1, spec)
         assert result.metrics.dropped_messages > 0
         assert result.metrics.delayed_messages > 0
 
@@ -834,11 +883,11 @@ class TestComposedAdversary:
         # The loss part of a composition must not replay the standalone
         # loss model's stream: otherwise composing adversaries would
         # correlate their schedules with single-model baselines.
-        loss_alone = run_with_adversary(
-            flooding_runner, torus_2d(4, 4), 7, AdversarySpec.create("loss", p=0.3)
+        loss_alone = _faulty_run(
+            "flooding", torus_2d(4, 4), 7, AdversarySpec.create("loss", p=0.3)
         )
-        composed = run_with_adversary(
-            flooding_runner,
+        composed = _faulty_run(
+            "flooding",
             torus_2d(4, 4),
             7,
             AdversarySpec.create(
@@ -855,8 +904,8 @@ class TestComposedAdversary:
         spec = AdversarySpec.create(
             "composed", models="loss+churn", **{"loss.p": 0.1, "churn.p_down": 0.05}
         )
-        a = run_with_adversary(flooding_runner, grid_2d(3, 3), 5, spec)
-        b = run_with_adversary(flooding_runner, grid_2d(3, 3), 5, spec)
+        a = _faulty_run("flooding", grid_2d(3, 3), 5, spec)
+        b = _faulty_run("flooding", grid_2d(3, 3), 5, spec)
         assert a.as_dict() == b.as_dict()
         assert "models='loss+churn'" in spec.token()
         # Parameter order never changes the token (and thus task keys).

@@ -22,8 +22,7 @@ import os
 
 import pytest
 
-from repro.analysis import ExperimentSpec, run_experiment
-from repro.analysis.runners import flooding_runner, uniform_id_runner
+from repro.analysis import CollectingSink, ExperimentSpec, run_experiment
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, random_regular, star
 from repro.parallel import (
@@ -40,6 +39,7 @@ from repro.parallel import (
     task_key,
     topology_fingerprint,
 )
+from repro.protocols import protocol_runner
 
 SEEDS = (0, 1, 2)
 
@@ -47,11 +47,13 @@ SEEDS = (0, 1, 2)
 #: entry on top so two counts are always covered there.
 WORKER_COUNTS = sorted({1, 2, 4} | {int(os.environ.get("REPRO_TEST_WORKERS", 2))})
 
+flooding_runner = protocol_runner("flooding")
+
 
 def _spec(name: str = "flooding", collect_profile: bool = False) -> ExperimentSpec:
     return ExperimentSpec(
         name=name,
-        runner=flooding_runner,
+        protocol="flooding",
         topologies=[cycle(8), star(8), grid_2d(3, 3)],
         seeds=SEEDS,
         collect_profile=collect_profile,
@@ -75,7 +77,7 @@ def _stored_runs(path):
 
 
 def count_file_runner(topology, seed):
-    """A picklable runner that logs every invocation to a file.
+    """A picklable flooding factory that logs every invocation to a file.
 
     The log path travels through the environment so fork children (and the
     in-process backend) append to the same file, letting tests count how
@@ -113,20 +115,23 @@ class TestSerialParallelEquivalence:
             assert a.profile == b.profile
             assert a.profile is not None
 
-    def test_keep_results_returns_individual_runs(self):
+    def test_collecting_sink_returns_individual_runs(self):
         spec = _spec()
-        parallel = run_experiment(spec, workers=2, keep_results=True)
-        assert all(len(cell.results) == len(SEEDS) for cell in parallel.cells)
-        serial = run_experiment(spec, keep_results=True)
-        for a, b in zip(serial.cells, parallel.cells):
-            assert [r.as_dict() for r in a.results] == [r.as_dict() for r in b.results]
+        serial, parallel = CollectingSink(), CollectingSink()
+        run_experiment(spec, workers=2, sinks=[parallel])
+        run_experiment(spec, sinks=[serial])
+        for index in range(len(spec.topologies)):
+            a = serial.results_for(spec.name, index)
+            b = parallel.results_for(spec.name, index)
+            assert len(b) == len(SEEDS)
+            assert [r.as_dict() for r in a] == [r.as_dict() for r in b]
 
     def test_multi_spec_pool_matches_independent_runs(self):
         specs = [
             _spec("flooding"),
             ExperimentSpec(
                 name="uniform",
-                runner=uniform_id_runner,
+                protocol="uniform",
                 topologies=[cycle(8), star(8)],
                 seeds=SEEDS,
                 collect_profile=False,
@@ -186,7 +191,7 @@ class TestSeedDerivation:
     def test_derived_seeds_differ_for_same_named_topologies(self):
         spec = ExperimentSpec(
             name="dup-derived",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[
                 random_regular(16, 4, seed=1),
                 random_regular(16, 4, seed=2),
@@ -232,6 +237,8 @@ class TestSharding:
             topology_fingerprint(spec.topologies[0]),
             0,
             SEEDS[0],
+            "",
+            "flooding",
         )
 
     def test_fingerprint_distinguishes_same_named_topologies(self):
@@ -249,7 +256,7 @@ class TestSharding:
         # key must keep their runs apart.
         spec = ExperimentSpec(
             name="dup-names",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[
                 random_regular(16, 4, seed=1),
                 random_regular(16, 4, seed=2),
@@ -284,15 +291,18 @@ class TestCheckpointing:
         runs = _stored_runs(tmp_path / "sweep.json")
         assert len(runs) == len(spec.topologies) * len(SEEDS)
 
-    def test_resume_runs_only_missing_tasks(self, tmp_path, monkeypatch):
+    def test_resume_runs_only_missing_tasks(
+        self, tmp_path, monkeypatch, custom_protocol
+    ):
         count_file = tmp_path / "invocations.log"
         monkeypatch.setenv("REPRO_TEST_COUNT_FILE", str(count_file))
         checkpoint = tmp_path / "sweep.json"
+        counted = custom_protocol("counted", count_file_runner)
 
         def spec_with_seeds(seeds):
             return ExperimentSpec(
                 name="counted",
-                runner=count_file_runner,
+                protocol=counted,
                 topologies=[cycle(8), star(8)],
                 seeds=seeds,
                 collect_profile=False,
@@ -327,7 +337,7 @@ class TestCheckpointing:
         def spec_for(graph_seed):
             return ExperimentSpec(
                 name="regen",
-                runner=flooding_runner,
+                protocol="flooding",
                 topologies=[random_regular(16, 4, seed=graph_seed)],
                 seeds=(0, 1),
                 collect_profile=False,
@@ -345,7 +355,7 @@ class TestCheckpointing:
         run_experiment(spec, workers=1, checkpoint=checkpoint)
         other = ExperimentSpec(
             name="other-spec",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8)],
             seeds=(0,),
             collect_profile=False,
@@ -439,9 +449,15 @@ class TestCheckpointCompaction:
         run_experiment(
             spec, checkpoint=tmp_path / "slim.json", checkpoint_compact=True
         )
-        full = (tmp_path / "full.json").stat().st_size
-        slim = (tmp_path / "slim.json").stat().st_size
-        assert slim < full / 2
+        full = _stored_runs(tmp_path / "full.json")
+        slim = _stored_runs(tmp_path / "slim.json")
+        assert slim.keys() == full.keys()
+        assert not any("node_results" in record for record in slim.values())
+        # The per-node payload is over half of the records.  Measured on
+        # the records, not the file: task keys are not compactable.
+        full_bytes = sum(len(json.dumps(record)) for record in full.values())
+        slim_bytes = sum(len(json.dumps(record)) for record in slim.values())
+        assert slim_bytes < full_bytes / 2
 
     def test_in_place_compaction_of_existing_checkpoint(self, tmp_path):
         spec = _spec()
@@ -464,17 +480,21 @@ class TestCheckpointCompaction:
 
 
 def failing_runner(topology, seed):
-    """A picklable runner that dies on one specific grid point."""
+    """A picklable factory that dies on one specific grid point."""
     if topology.name.startswith("star") and seed == 1:
         raise ValueError("boom at the appointed run")
     return flooding_runner(topology, seed)
 
 
 class TestWorkerErrorContext:
+    @pytest.fixture(autouse=True)
+    def _fragile_protocol(self, custom_protocol):
+        custom_protocol("fragile", failing_runner)
+
     def _failing_spec(self):
         return ExperimentSpec(
             name="fragile",
-            runner=failing_runner,
+            protocol="fragile",
             topologies=[cycle(8), star(8)],
             seeds=SEEDS,
             collect_profile=False,
@@ -498,7 +518,7 @@ class TestWorkerErrorContext:
 
         spec = ExperimentSpec(
             name="fragile-adv",
-            runner=failing_runner,
+            protocol="fragile",
             topologies=[star(8)],
             seeds=(1,),
             collect_profile=False,

@@ -9,13 +9,13 @@ The contract under test:
   schema's declared types, so equal configurations hash equal;
 * specs and their runners are picklable (the parallel engine ships them
   to worker processes);
-* a default-configuration spec runs bit-identically to the legacy
-  ``RUNNERS`` entry, and parameter variants measurably change the run;
-* the experiment layer accepts ``protocol=`` specs, keys cells on the
-  protocol token, and exposes grid helpers (``param_grid``, the
-  ``paper-constants`` ladder);
+* a default-configuration spec runs bit-identically to the protocol's
+  entry point, and parameter variants measurably change the run;
+* the experiment layer requires a ``protocol=`` spec, keys tasks and
+  cells on the protocol token (bare names included), and exposes grid
+  helpers (``param_grid``, the ``paper-constants`` ladder);
 * the JSONL export sink streams one record per run, protocol token
-  included, without ``keep_results``.
+  included, without retaining the runs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import pickle
 import pytest
 
 from repro.analysis import ExperimentSpec, JsonlSink, run_experiment
-from repro.analysis.runners import RUNNERS, irrevocable_runner
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, star
 from repro.parallel import expand_run_tasks
@@ -54,9 +53,6 @@ class TestRegistry:
         assert {"irrevocable", "revocable", "flooding", "gilbert", "uniform"} <= set(
             PROTOCOLS
         )
-
-    def test_registry_matches_legacy_runner_names(self):
-        assert set(RUNNERS) <= set(PROTOCOLS)
 
     def test_describe_lists_every_protocol_with_schema(self):
         rows = {row["protocol"]: row for row in describe_protocols()}
@@ -318,13 +314,15 @@ class TestPickling:
 
 
 class TestExecution:
-    def test_default_spec_matches_legacy_runner(self):
+    def test_default_spec_matches_entry_point(self):
+        from repro.election import run_irrevocable_election
+
         topology = cycle(9)
         via_spec = protocol_runner("irrevocable")(topology, 5)
-        via_legacy = irrevocable_runner(topology, 5)
-        assert via_spec.messages == via_legacy.messages
-        assert via_spec.rounds_executed == via_legacy.rounds_executed
-        assert via_spec.outcome.as_dict() == via_legacy.outcome.as_dict()
+        via_entry_point = run_irrevocable_election(topology, seed=5)
+        assert via_spec.messages == via_entry_point.messages
+        assert via_spec.rounds_executed == via_entry_point.rounds_executed
+        assert via_spec.outcome.as_dict() == via_entry_point.outcome.as_dict()
 
     def test_parameters_change_the_run(self):
         topology = cycle(9)
@@ -353,23 +351,18 @@ class TestExecution:
 
 
 class TestExperimentIntegration:
-    def test_spec_requires_exactly_one_algorithm_source(self):
-        with pytest.raises(ConfigurationError, match="runner"):
+    def test_spec_requires_a_protocol(self):
+        with pytest.raises(TypeError, match="protocol"):
             ExperimentSpec(name="x", topologies=[cycle(5)])
-        with pytest.raises(ConfigurationError, match="not both"):
-            ExperimentSpec(
-                name="x",
-                runner=irrevocable_runner,
-                protocol=ProtocolSpec.parse("irrevocable"),
-                topologies=[cycle(5)],
-            )
+        with pytest.raises(ConfigurationError, match="unknown protocol"):
+            ExperimentSpec(name="x", protocol="gossip", topologies=[cycle(5)])
 
     def test_spec_parses_protocol_strings(self):
         spec = ExperimentSpec(
             name="x", protocol="irrevocable:c=3", topologies=[cycle(5)]
         )
         assert spec.protocol == ProtocolSpec.create("irrevocable", c=3.0)
-        assert spec.protocol_token() == "irrevocable:c=3.0"
+        assert spec.protocol.token() == "irrevocable:c=3.0"
 
     def test_cells_carry_the_protocol_token(self):
         spec = ExperimentSpec(
@@ -382,17 +375,6 @@ class TestExperimentIntegration:
         result = run_experiment(spec)
         assert [cell.protocol for cell in result.cells] == ["irrevocable:c=3.0"]
         assert result.cells[0].as_dict()["protocol"] == "irrevocable:c=3.0"
-
-    def test_legacy_cells_have_empty_protocol_column(self):
-        spec = ExperimentSpec(
-            name="x",
-            runner=irrevocable_runner,
-            topologies=[cycle(6)],
-            seeds=(0,),
-            collect_profile=False,
-        )
-        result = run_experiment(spec)
-        assert result.cells[0].protocol == ""
 
     def test_variants_produce_distinct_cells(self):
         specs = sweep_specs(
@@ -425,11 +407,15 @@ class TestExperimentIntegration:
         ]
         assert all(spec.adversary == adversary for spec in specs)
 
-    def test_legacy_names_keep_legacy_task_keys(self):
+    def test_bare_names_key_their_token(self):
         spec = sweep_specs(["flooding"], [cycle(6)], seeds=(0,))[0]
+        assert spec.protocol == ProtocolSpec.create("flooding")
         task = expand_run_tasks(spec)[0]
-        assert task.protocol == ""
-        assert task.key.count("|") == 6  # the pre-protocol 7-field format
+        assert task.protocol == "flooding"
+        assert task.key.endswith("||flooding")  # no adversary, then the token
+        assert task.key.count("|") == 7
+        cell = run_experiment(spec).cells[0]
+        assert cell.protocol == cell.as_dict()["protocol"] == "flooding"
 
     def test_variant_task_keys_carry_the_token(self):
         spec = sweep_specs(["flooding:c=3"], [cycle(6)], seeds=(0,))[0]
@@ -462,22 +448,9 @@ class TestExperimentIntegration:
         message = str(excinfo.value)
         assert "'flooding:c=2'" in message and "'flooding:c=2.00'" in message
 
-    def test_runner_registered_only_in_runners_dict_still_sweeps(self):
-        from repro.analysis.runners import RUNNERS, flooding_runner
-
-        RUNNERS["custom-runner-only"] = flooding_runner
-        try:
-            specs = sweep_specs(
-                ["custom-runner-only"], [cycle(6)], seeds=(0,), collect_profile=False
-            )
-            assert specs[0].runner is flooding_runner
-            assert specs[0].protocol is None
-        finally:
-            RUNNERS.pop("custom-runner-only", None)
-
     def test_bare_name_vs_explicit_default_rejected(self):
-        # "flooding" (legacy path) and "flooding:c=2.0" (spec path) run
-        # the identical configuration; sweeping both is a duplicated cell.
+        # "flooding" and "flooding:c=2.0" run the identical configuration
+        # under different tokens; sweeping both is a duplicated cell.
         with pytest.raises(ConfigurationError, match="same configuration"):
             sweep_specs(["flooding", "flooding:c=2.0"], [cycle(6)], seeds=(0,))
 
@@ -546,6 +519,10 @@ class TestParamGrid:
 
 
 class TestJsonlSink:
+    @pytest.fixture(autouse=True)
+    def _fragile_protocol(self, custom_protocol):
+        custom_protocol("fail-on-seed-two", _fail_on_seed_two)
+
     def _sweep(self, tmp_path, **kwargs):
         path = tmp_path / "runs.jsonl"
         spec = ExperimentSpec(
@@ -565,9 +542,7 @@ class TestJsonlSink:
         assert {record["protocol"] for record in records} == {"irrevocable:c=3.0"}
         assert {record["experiment"] for record in records} == {"grid"}
         assert all("messages" in record and "rounds" in record for record in records)
-        # The sink streams: the cells were still assembled without
-        # retaining per-run results.
-        assert all(cell.results == [] for cell in result.cells)
+        assert [cell.runs for cell in result.cells] == [2, 2]
 
     def test_records_match_cell_aggregates(self, tmp_path):
         path, result = self._sweep(tmp_path)
@@ -594,7 +569,7 @@ class TestJsonlSink:
         path = tmp_path / "deeply" / "nested" / "runs.jsonl"
         spec = ExperimentSpec(
             name="x",
-            runner=irrevocable_runner,
+            protocol="irrevocable",
             topologies=[cycle(5)],
             seeds=(0,),
             collect_profile=False,
@@ -602,18 +577,12 @@ class TestJsonlSink:
         run_experiment(spec, sinks=[JsonlSink(path)])
         assert path.exists()
 
-    def test_legacy_runs_have_empty_protocol_field(self, tmp_path):
+    def test_bare_name_runs_carry_their_token(self, tmp_path):
         path = tmp_path / "runs.jsonl"
-        spec = ExperimentSpec(
-            name="x",
-            runner=irrevocable_runner,
-            topologies=[cycle(5)],
-            seeds=(0,),
-            collect_profile=False,
-        )
+        spec = sweep_specs(["irrevocable"], [cycle(5)], seeds=(0,))[0]
         run_experiment(spec, sinks=[JsonlSink(path)])
         record = json.loads(path.read_text().splitlines()[0])
-        assert record["protocol"] == ""
+        assert record["protocol"] == "irrevocable"
 
     def test_close_without_emits_creates_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -636,7 +605,7 @@ class TestJsonlSink:
         path = tmp_path / "runs.jsonl"
         spec = ExperimentSpec(
             name="x",
-            runner=irrevocable_runner,
+            protocol="irrevocable",
             topologies=[cycle(5)],
             seeds=(0,),
             collect_profile=False,
@@ -654,7 +623,7 @@ class TestJsonlSink:
         path = tmp_path / "runs.jsonl"
         spec = ExperimentSpec(
             name="dies-immediately",
-            runner=_fail_on_seed_two,
+            protocol="fail-on-seed-two",
             topologies=[cycle(8)],
             seeds=(2,),
             collect_profile=False,
@@ -686,7 +655,7 @@ class TestJsonlSink:
         sink = JsonlSink(path)
         spec = ExperimentSpec(
             name="x",
-            runner=irrevocable_runner,
+            protocol="irrevocable",
             topologies=[cycle(5)],
             seeds=(0,),
             collect_profile=False,
@@ -702,7 +671,7 @@ class TestJsonlSink:
         path = tmp_path / "runs.jsonl"
         spec = ExperimentSpec(
             name="fragile",
-            runner=_fail_on_seed_two,
+            protocol="fail-on-seed-two",
             topologies=[cycle(8)],
             seeds=(0, 1, 2),
             collect_profile=False,
@@ -730,7 +699,7 @@ class TestJsonlSink:
         sink = PublishingSink()
         spec = ExperimentSpec(
             name="fragile",
-            runner=_fail_on_seed_two,
+            protocol="fail-on-seed-two",
             topologies=[cycle(8)],
             seeds=(0, 2),
             collect_profile=False,
@@ -751,7 +720,7 @@ class TestJsonlSink:
 
         spec = ExperimentSpec(
             name="fragile",
-            runner=_fail_on_seed_two,
+            protocol="fail-on-seed-two",
             topologies=[cycle(8)],
             seeds=(2,),
             collect_profile=False,
@@ -764,7 +733,7 @@ class TestJsonlSink:
         path = tmp_path / "runs.jsonl"
         good = ExperimentSpec(
             name="fragile",
-            runner=_fail_on_seed_two,
+            protocol="fail-on-seed-two",
             topologies=[cycle(8)],
             seeds=(0, 1),
             collect_profile=False,
@@ -774,7 +743,7 @@ class TestJsonlSink:
         assert len(complete.splitlines()) == 2
         bad = ExperimentSpec(
             name="fragile",
-            runner=_fail_on_seed_two,
+            protocol="fail-on-seed-two",
             topologies=[cycle(8)],
             seeds=(0, 1, 2),
             collect_profile=False,
@@ -789,12 +758,10 @@ class TestJsonlSink:
 
 
 def _fail_on_seed_two(topology, seed):
-    """Picklable runner dying on one grid point (sink-flush tests)."""
+    """Picklable factory dying on one grid point (sink-flush tests)."""
     if seed == 2:
         raise ValueError("boom")
-    from repro.analysis.runners import flooding_runner
-
-    return flooding_runner(topology, seed)
+    return run_protocol("flooding", topology, seed)
 
 
 # --------------------------------------------------------------------------- #

@@ -24,7 +24,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import ExperimentSpec, run_experiment
-from repro.analysis.runners import flooding_runner
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, star
 from repro.obs import TelemetrySink, read_telemetry, summarize_telemetry
@@ -44,6 +43,7 @@ from repro.parallel import (
     shard_checkpoint_path,
     split_blocks,
 )
+from repro.protocols import protocol_runner
 
 SEEDS = (0, 1, 2)
 
@@ -52,21 +52,25 @@ SEEDS = (0, 1, 2)
 WORKER_COUNTS = sorted({1, 2, 4} | {int(os.environ.get("REPRO_TEST_WORKERS", 2))})
 
 
-def _spec(name="flooding", seeds=SEEDS, runner=flooding_runner):
+flooding_runner = protocol_runner("flooding")
+
+
+def _spec(name="flooding", seeds=SEEDS, protocol="flooding"):
     return ExperimentSpec(
         name=name,
-        runner=runner,
+        protocol=protocol,
         topologies=[cycle(8), star(8), grid_2d(3, 3)],
         seeds=seeds,
         collect_profile=False,
     )
 
 
-def _comparable(cells):
+def _comparable(cells, *drop):
     rows = []
     for cell in cells:
         row = cell.as_dict()
-        row.pop("mean_wall_clock_seconds")
+        for column in ("mean_wall_clock_seconds", *drop):
+            row.pop(column)
         rows.append(row)
     return rows
 
@@ -159,10 +163,11 @@ class TestAdaptiveEquivalence:
         )
         assert _comparable(spawned.cells) == _comparable(serial.cells)
 
-    def test_deterministic_task_error_propagates(self):
+    def test_deterministic_task_error_propagates(self, custom_protocol):
+        failing = custom_protocol("failing", _failing_runner)
         with pytest.raises(TaskExecutionError, match="deterministic failure"):
             run_experiments(
-                [_spec(runner=_failing_runner, seeds=(0,))],
+                [_spec(protocol=failing, seeds=(0,))],
                 workers=2,
                 dispatch="adaptive",
             )
@@ -230,7 +235,7 @@ class TestSchedulerUnit:
         tasks = expand_run_tasks(
             ExperimentSpec(
                 name="flooding",
-                runner=flooding_runner,
+                protocol="flooding",
                 topologies=[cycle(6)],
                 seeds=tuple(range(12)),
                 collect_profile=False,
@@ -292,7 +297,7 @@ class TestSchedulerUnit:
 
 class TestWorkerDeathRecovery:
     def test_killed_worker_redispatches_bit_identically(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, custom_protocol
     ):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("SIGKILL self-test requires the fork start method")
@@ -301,13 +306,16 @@ class TestWorkerDeathRecovery:
         )
         serial = run_experiment(_spec())
         survived = run_experiment(
-            _spec(runner=_kill_worker_once),
+            _spec(protocol=custom_protocol("kill-once", _kill_worker_once)),
             workers=2,
             dispatch="adaptive",
             start_method="fork",
         )
         assert (tmp_path / "killed.marker").exists(), "kill never fired"
-        assert _comparable(survived.cells) == _comparable(serial.cells)
+        # The wrapper protocol runs flooding, under its own name.
+        assert _comparable(survived.cells, "protocol") == _comparable(
+            serial.cells, "protocol"
+        )
 
     def test_timeout_requires_adaptive_dispatch(self):
         with pytest.raises(ConfigurationError, match="adaptive"):

@@ -25,7 +25,6 @@ import os
 import pytest
 
 from repro.analysis import CellAggregate, ExperimentSpec, run_experiment
-from repro.analysis.runners import flooding_runner, uniform_id_runner
 from repro.core.errors import ConfigurationError
 from repro.graphs import cycle, grid_2d, star
 from repro.parallel import (
@@ -42,15 +41,19 @@ from repro.parallel import (
     shard_checkpoint_path,
     validate_shard,
 )
+from repro.protocols import protocol_runner
 
 SEEDS = (0, 1, 2)
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", 2))
 
+flooding_runner = protocol_runner("flooding")
+uniform_id_runner = protocol_runner("uniform")
 
-def _spec(name: str = "flooding", runner=flooding_runner) -> ExperimentSpec:
+
+def _spec(name: str = "flooding", protocol: str = "flooding") -> ExperimentSpec:
     return ExperimentSpec(
         name=name,
-        runner=runner,
+        protocol=protocol,
         topologies=[cycle(8), star(8), grid_2d(3, 3)],
         seeds=SEEDS,
         collect_profile=False,
@@ -58,7 +61,7 @@ def _spec(name: str = "flooding", runner=flooding_runner) -> ExperimentSpec:
 
 
 def _specs():
-    return [_spec("flooding"), _spec("uniform", uniform_id_runner)]
+    return [_spec("flooding"), _spec("uniform", "uniform")]
 
 
 def _comparable(cells):
@@ -70,11 +73,21 @@ def _comparable(cells):
     return rows
 
 
-def count_file_runner(topology, seed):
-    """Picklable runner that logs invocations (see test_parallel_runner)."""
+def _log_invocation(topology, seed):
     with open(os.environ["REPRO_TEST_COUNT_FILE"], "a", encoding="utf-8") as handle:
         handle.write(f"{topology.name} {seed}\n")
+
+
+def count_file_runner(topology, seed):
+    """Picklable flooding factory that logs invocations (see test_parallel_runner)."""
+    _log_invocation(topology, seed)
     return flooding_runner(topology, seed)
+
+
+def count_file_uniform_runner(topology, seed):
+    """The uniform-ID counterpart of :func:`count_file_runner`."""
+    _log_invocation(topology, seed)
+    return uniform_id_runner(topology, seed)
 
 
 # --------------------------------------------------------------------------- #
@@ -126,8 +139,18 @@ class TestShardSelection:
 
 
 class TestShardedSweepEquivalence:
-    def test_sharded_merge_replay_is_bit_identical(self, tmp_path, monkeypatch):
-        specs = _specs()
+    def test_sharded_merge_replay_is_bit_identical(
+        self, tmp_path, monkeypatch, custom_protocol
+    ):
+        count_file = tmp_path / "invocations.log"
+        monkeypatch.setenv("REPRO_TEST_COUNT_FILE", str(count_file))
+        specs = [
+            _spec("flooding", custom_protocol("counted", count_file_runner)),
+            _spec(
+                "uniform",
+                custom_protocol("counted-uniform", count_file_uniform_runner),
+            ),
+        ]
         unsharded = run_experiments(specs, workers=WORKERS)
 
         base = tmp_path / "sweep.json"
@@ -140,33 +163,21 @@ class TestShardedSweepEquivalence:
         assert summary["tasks_merged"] == summary["tasks_expected"]
 
         # The replay must execute nothing: every run comes from the merge.
-        count_file = tmp_path / "invocations.log"
-        monkeypatch.setenv("REPRO_TEST_COUNT_FILE", str(count_file))
-        replay_specs = [
-            ExperimentSpec(
-                name=spec.name,
-                runner=count_file_runner,
-                topologies=spec.topologies,
-                seeds=spec.seeds,
-                collect_profile=False,
-            )
-            for spec in specs
-        ]
-        # NB: replay keys must match, and task keys do not include the
-        # runner identity — only spec/topology/seed/adversary — so the
-        # counting runner replays the stored records.
-        replayed = run_experiments(replay_specs, checkpoint=merged)
-        assert not count_file.exists() or count_file.read_text() == ""
+        count_file.write_text("")
+        replayed = run_experiments(specs, checkpoint=merged)
+        assert count_file.read_text() == ""
 
         for a, b in zip(unsharded, replayed):
             assert _comparable(a.cells) == _comparable(b.cells)
 
-    def test_shard_runs_disjoint_slices(self, tmp_path, monkeypatch):
+    def test_shard_runs_disjoint_slices(
+        self, tmp_path, monkeypatch, custom_protocol
+    ):
         count_file = tmp_path / "invocations.log"
         monkeypatch.setenv("REPRO_TEST_COUNT_FILE", str(count_file))
         spec = ExperimentSpec(
             name="counted",
-            runner=count_file_runner,
+            protocol=custom_protocol("counted", count_file_runner),
             topologies=[cycle(8), star(8)],
             seeds=SEEDS,
             collect_profile=False,
@@ -185,7 +196,7 @@ class TestShardedSweepEquivalence:
         # cells from a shard's partial view.
         spec = ExperimentSpec(
             name="narrow",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8), star(8), grid_2d(3, 3)],
             seeds=(0,),
             collect_profile=False,
@@ -202,7 +213,7 @@ class TestShardedSweepEquivalence:
         # merge of the fully-executed split must validate as complete.
         spec = ExperimentSpec(
             name="small",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8)],
             seeds=(0, 1),
             collect_profile=False,
@@ -216,12 +227,14 @@ class TestShardedSweepEquivalence:
         assert summary["tasks_missing"] == 0
         assert summary["tasks_merged"] == 2
 
-    def test_resumed_shard_skips_completed_runs(self, tmp_path, monkeypatch):
+    def test_resumed_shard_skips_completed_runs(
+        self, tmp_path, monkeypatch, custom_protocol
+    ):
         count_file = tmp_path / "invocations.log"
         monkeypatch.setenv("REPRO_TEST_COUNT_FILE", str(count_file))
         spec = ExperimentSpec(
             name="counted",
-            runner=count_file_runner,
+            protocol=custom_protocol("counted", count_file_runner),
             topologies=[cycle(8), star(8)],
             seeds=SEEDS,
             collect_profile=False,
@@ -265,7 +278,7 @@ class TestShardManifest:
         run_experiments([_spec()], checkpoint=base, shard=(0, 2))
         adversarial = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8), star(8), grid_2d(3, 3)],
             seeds=SEEDS,
             collect_profile=False,
@@ -369,7 +382,7 @@ class TestMergeValidation:
 
         adversarial = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8), star(8), grid_2d(3, 3)],
             seeds=SEEDS,
             collect_profile=False,
@@ -427,7 +440,7 @@ class TestStreamingAggregates:
     def test_cell_min_max_fields(self):
         spec = ExperimentSpec(
             name="flooding",
-            runner=flooding_runner,
+            protocol="flooding",
             topologies=[cycle(8)],
             seeds=SEEDS,
             collect_profile=False,
