@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -47,10 +46,10 @@ from .streaming import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps layering acyclic
     from ..dynamics.spec import AdversarySpec
+    from ..protocols.runners import ProtocolRunner
     from ..protocols.spec import ProtocolSpec
 
 __all__ = [
-    "ElectionRunner",
     "ExperimentSpec",
     "ExperimentCell",
     "ExperimentResult",
@@ -60,10 +59,6 @@ __all__ = [
     "run_experiment",
     "summarize_results",
 ]
-
-#: An algorithm under test: ``runner(topology, seed) -> LeaderElectionResult``.
-ElectionRunner = Callable[[Topology, int], LeaderElectionResult]
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -101,7 +96,7 @@ class ExperimentSpec:
             raise ConfigurationError("an experiment needs at least one seed")
 
 
-def effective_runner(spec: ExperimentSpec) -> ElectionRunner:
+def effective_runner(spec: ExperimentSpec) -> "ProtocolRunner":
     """The runner actually executed for ``spec``'s runs.
 
     Both the serial driver and the parallel engine's task expansion
@@ -218,7 +213,7 @@ class ExperimentResult:
 
 
 def execute_run(
-    runner: ElectionRunner, topology: Topology, seed: int
+    runner: "ProtocolRunner", topology: Topology, seed: int
 ) -> Tuple[LeaderElectionResult, float]:
     """Execute one (topology, seed) run and measure its wall-clock time.
 

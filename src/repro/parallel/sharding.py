@@ -23,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, TypeVar
 
-from ..analysis.experiments import ElectionRunner, ExperimentSpec, effective_runner
+from ..analysis.experiments import ExperimentSpec, effective_runner
 from ..core.errors import ConfigurationError
 from ..core.rng import derive_seed
 from ..graphs.topology import Topology
+from ..protocols.runners import ProtocolRunner
 
 __all__ = [
     "AUTO_SHARD",
@@ -60,7 +61,7 @@ class RunTask:
     """
 
     spec_name: str
-    runner: ElectionRunner
+    runner: ProtocolRunner
     topology: Topology
     topology_index: int
     seed: int

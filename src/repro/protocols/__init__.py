@@ -19,7 +19,7 @@ from .registry import (
     register_protocol,
     run_protocol,
 )
-from .runners import ProtocolRunner, protocol_runner
+from .runners import ProtocolRunner
 from .schema import ParamSpec, ProtocolSchema
 from .spec import ProtocolSpec, parse_protocol_params
 
@@ -33,7 +33,6 @@ __all__ = [
     "describe_protocols",
     "parse_protocol_params",
     "protocol_by_name",
-    "protocol_runner",
     "register_protocol",
     "run_protocol",
 ]

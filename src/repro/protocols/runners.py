@@ -21,12 +21,15 @@ from ..graphs.topology import Topology
 from .registry import ProtocolDefinition
 from .spec import ProtocolSpec
 
-__all__ = ["ProtocolRunner", "protocol_runner"]
+__all__ = ["ProtocolRunner"]
 
 
 @dataclass(frozen=True)
 class ProtocolRunner:
     """``spec``'s protocol, invoked as a plain ``(topology, seed)`` runner.
+
+    ``spec`` may also be given as its string spelling ``"name:k=v,..."``,
+    which is parsed and validated here.
 
     With an ``adversary``, every simulator the protocol builds during the
     run — the paper's protocols build several, one per phase — is
@@ -41,11 +44,13 @@ class ProtocolRunner:
     interpreters never ran the parent's registration.
     """
 
-    spec: ProtocolSpec
+    spec: Union[ProtocolSpec, str]
     adversary: Optional[AdversarySpec] = None
     definition: ProtocolDefinition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.spec, str):
+            object.__setattr__(self, "spec", ProtocolSpec.parse(self.spec))
         definition = self.spec.definition()
         object.__setattr__(self, "definition", definition)
         # Validate once here, not per run: the mapping is invariant for a
@@ -74,9 +79,3 @@ class ProtocolRunner:
         result.parameters = parameters
         return result
 
-
-def protocol_runner(spec: Union[ProtocolSpec, str]) -> ProtocolRunner:
-    """Build a runner from a spec (or its string spelling, validated here)."""
-    if isinstance(spec, str):
-        spec = ProtocolSpec.parse(spec)
-    return ProtocolRunner(spec)

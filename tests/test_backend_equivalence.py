@@ -38,7 +38,7 @@ from repro.dynamics import AdversarySpec, make_adversary, robustness_specs
 from repro.election import run_irrevocable_election
 from repro.graphs import cycle, grid_2d, random_regular, star
 from repro.parallel import expand_run_tasks, run_experiments
-from repro.protocols import protocol_runner
+from repro.protocols import ProtocolRunner
 from repro.workloads import dynamic_scenario
 
 ADVERSARY_GRID = [
@@ -147,7 +147,7 @@ class TestSimulatorCoreEquivalence:
         )
 
     def test_irrevocable_runner_matches_across_backends(self):
-        irrevocable_runner = protocol_runner("irrevocable")
+        irrevocable_runner = ProtocolRunner("irrevocable")
         with backend_scope("round"):
             reference = irrevocable_runner(cycle(8), 1).as_dict()
         with backend_scope("event"):

@@ -24,12 +24,12 @@ from repro.parallel import (
     result_to_record,
     run_experiments,
 )
-from repro.protocols import protocol_runner
+from repro.protocols import ProtocolRunner
 from repro.workloads import sweep_specs
 
 SEEDS = (0, 1, 2)
 
-flooding_runner = protocol_runner("flooding")
+flooding_runner = ProtocolRunner("flooding")
 
 
 def _spec(seeds=SEEDS, protocol="flooding", name="flooding"):

@@ -67,17 +67,17 @@ from repro.graphs import (
     torus_2d,
 )
 from repro.parallel import expand_run_tasks
-from repro.protocols import ProtocolRunner, ProtocolSpec, protocol_runner
+from repro.protocols import ProtocolRunner
 from repro.workloads import DYNAMIC_SCENARIOS, dynamic_scenario
 
 WORKER_COUNTS = sorted({2, 4} | {int(os.environ.get("REPRO_TEST_WORKERS", 2))})
 
-flooding_runner = protocol_runner("flooding")
+flooding_runner = ProtocolRunner("flooding")
 
 
 def _faulty_run(protocol, topology, seed, adversary):
     """One run of ``protocol`` (a spec string) under ``adversary``."""
-    return ProtocolRunner(ProtocolSpec.parse(protocol), adversary)(topology, seed)
+    return ProtocolRunner(protocol, adversary)(topology, seed)
 
 
 def _fault_scope_composition(spec, adversary, topology, seed):
@@ -537,9 +537,7 @@ class TestAdversarialSweepEquivalence:
 
     def test_effective_runner_is_picklable(self):
         runner = effective_runner(_adversarial_spec(ADVERSARY_GRID[0]))
-        assert runner == ProtocolRunner(
-            ProtocolSpec.parse("flooding"), ADVERSARY_GRID[0]
-        )
+        assert runner == ProtocolRunner("flooding", ADVERSARY_GRID[0])
         clone = pickle.loads(pickle.dumps(runner))
         assert clone(cycle(8), 0).as_dict() == runner(cycle(8), 0).as_dict()
 
@@ -549,7 +547,7 @@ class TestAdversarialSweepEquivalence:
         spec = _adversarial_spec(None)
         jobs = [
             (ProtocolRunner(protocol, adversary), topology, seed)
-            for protocol in (spec.protocol, ProtocolSpec.parse("irrevocable:c=3"))
+            for protocol in (spec.protocol, "irrevocable:c=3")
             for adversary in ADVERSARY_GRID
             for topology in spec.topologies[: 3 if protocol == spec.protocol else 1]
             for seed in spec.seeds[: 3 if protocol == spec.protocol else 1]

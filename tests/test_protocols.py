@@ -36,7 +36,6 @@ from repro.protocols import (
     ProtocolSpec,
     describe_protocols,
     protocol_by_name,
-    protocol_runner,
     register_protocol,
     run_protocol,
 )
@@ -265,7 +264,7 @@ class TestPickling:
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_runner_pickles_and_runs(self):
-        runner = protocol_runner("flooding:c=2.5")
+        runner = ProtocolRunner("flooding:c=2.5")
         restored = pickle.loads(pickle.dumps(runner))
         assert restored.spec == runner.spec
         result = restored(cycle(8), 3)
@@ -318,7 +317,7 @@ class TestExecution:
         from repro.election import run_irrevocable_election
 
         topology = cycle(9)
-        via_spec = protocol_runner("irrevocable")(topology, 5)
+        via_spec = ProtocolRunner("irrevocable")(topology, 5)
         via_entry_point = run_irrevocable_election(topology, seed=5)
         assert via_spec.messages == via_entry_point.messages
         assert via_spec.rounds_executed == via_entry_point.rounds_executed
@@ -341,7 +340,7 @@ class TestExecution:
             run_protocol("gilbert", cycle(5), 0, fanout=3)
 
     def test_runner_records_protocol_token(self):
-        result = protocol_runner("irrevocable:c=3")(cycle(6), 0)
+        result = ProtocolRunner("irrevocable:c=3")(cycle(6), 0)
         assert result.parameters["protocol"] == "irrevocable:c=3.0"
 
 

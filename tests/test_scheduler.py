@@ -43,7 +43,7 @@ from repro.parallel import (
     shard_checkpoint_path,
     split_blocks,
 )
-from repro.protocols import protocol_runner
+from repro.protocols import ProtocolRunner
 
 SEEDS = (0, 1, 2)
 
@@ -52,7 +52,7 @@ SEEDS = (0, 1, 2)
 WORKER_COUNTS = sorted({1, 2, 4} | {int(os.environ.get("REPRO_TEST_WORKERS", 2))})
 
 
-flooding_runner = protocol_runner("flooding")
+flooding_runner = ProtocolRunner("flooding")
 
 
 def _spec(name="flooding", seeds=SEEDS, protocol="flooding"):

@@ -41,13 +41,13 @@ from repro.parallel import (
     shard_checkpoint_path,
     validate_shard,
 )
-from repro.protocols import protocol_runner
+from repro.protocols import ProtocolRunner
 
 SEEDS = (0, 1, 2)
 WORKERS = int(os.environ.get("REPRO_TEST_WORKERS", 2))
 
-flooding_runner = protocol_runner("flooding")
-uniform_id_runner = protocol_runner("uniform")
+flooding_runner = ProtocolRunner("flooding")
+uniform_id_runner = ProtocolRunner("uniform")
 
 
 def _spec(name: str = "flooding", protocol: str = "flooding") -> ExperimentSpec:
